@@ -38,7 +38,8 @@ class AblationBench extends SparkSpec {
       }
 
       // Aggregate speedup over the ladder (paper: 10–100× on its testbed;
-      // our distributed mat-vec floor compresses it — still a clear win).
+      // here the ε_min rows dominate, and the optimized variant's costlier
+      // tail pairs compress it — still a clear win).
       val speedup = matched.map(_._1.queryMillis).sum / matched.map(_._2.queryMillis).sum
       assert(speedup > 1.3, s"$ds: aggregate speedup $speedup")
     }

@@ -1,9 +1,8 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{DiagEstimator, Linearized}
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, SparkEngine}
+import repro.linalg.{LinEngine, LocalEngine}
 
 /** Linearization (Maehara et al.): index-based.
   *
@@ -45,8 +44,9 @@ object Linearization {
     */
   def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double,
                    engine: Option[LinEngine] = None): Result = {
+    Linearized.requireSource(source, graph.n)
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new SparkEngine(graph))
+    val eng = engine.getOrElse(new LocalEngine(graph.csr))
     val n = graph.n
     val iters = Linearized.iterationsFor(c, eps)
     val acc = new Array[Double](n)

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core.{DiagEstimator, Linearized}
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, SparkEngine}
+import repro.linalg.{LinEngine, LocalEngine}
 
 /** PRSim-lite (after Wei et al., SIGMOD'19).
   *
@@ -28,11 +28,11 @@ object PrSim {
   final case class Result(scores: Array[Double], millis: Long)
 
   /** Global PageRank proxy: π̄ = (1−√c)·Σ_ℓ (√c P)^ℓ · (1/n)·1 — the average
-    * of all PPR vectors, computed with the same distributed mat-vec.
+    * of all PPR vectors, computed with the same mat-vec engine as the queries.
     */
   def globalPageRank(graph: GraphData, c: Double, iters: Int,
                      engine: Option[LinEngine] = None): Array[Double] = {
-    val eng = engine.getOrElse(new SparkEngine(graph))
+    val eng = engine.getOrElse(new LocalEngine(graph.csr))
     val n = graph.n
     val sqrtC = math.sqrt(c)
     var cur = Array.fill(n)((1.0 - sqrtC) / n)
@@ -79,8 +79,9 @@ object PrSim {
 
   def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double,
                    engine: Option[LinEngine] = None): Result = {
+    Linearized.requireSource(source, graph.n)
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new SparkEngine(graph))
+    val eng = engine.getOrElse(new LocalEngine(graph.csr))
     val fwd = Linearized.forward(eng, source, c, Linearized.iterationsFor(c, eps))
     val scores = Linearized.backward(eng, fwd, index.dhat, c)
     scores(source) = 1.0

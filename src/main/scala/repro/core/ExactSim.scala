@@ -1,8 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, LocalEngine, SparkEngine}
+import repro.linalg.{LinEngine, LocalEngine}
 
 /** Configuration for [[ExactSim]].
   *
@@ -83,18 +82,23 @@ final case class ExactSimResult(
   *
   * Pipeline per query:
   *  1. forward pass — ℓ-hop PPR vectors `π_i^ℓ` on the [[LinEngine]]
-  *     (distributed mat-vec), truncated if sparse Linearization is on;
+  *     (by default mat-vecs on the driver-side CSR), truncated if sparse
+  *     Linearization is on;
   *  2. sample allocation — `R(k) = ⌈R·π_i(k)⌉` or `⌈R·π_i(k)²/‖π_i‖²⌉`;
   *  3. D̂ estimation — Algorithm 2 or Algorithm 3 over distributed √c-walks;
   *  4. backward pass — fold `D̂·π_i^ℓ` through `√c·Pᵀ` (eq. 8).
   */
 object ExactSim {
 
+  /** @param engine mat-vec engine for the forward and backward passes;
+    *               defaults to a [[LocalEngine]] over `graph.csr`
+    */
   def singleSource(graph: GraphData, source: Int, conf: ExactSimConf,
                    engine: Option[LinEngine] = None): ExactSimResult = {
+    Linearized.requireSource(source, graph.n)
     val spark = graph.spark
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new SparkEngine(graph))
+    val eng = engine.getOrElse(new LocalEngine(graph.csr))
     val fwd = Linearized.forward(eng, source, conf.c, conf.iterations, conf.truncationThreshold)
 
     val r = conf.totalSamples(graph.n)
@@ -137,8 +141,4 @@ object ExactSim {
       }
     }
   }
-
-  /** Local-engine convenience wrapper (tests, ground-truth cross-checks). */
-  def singleSourceLocal(graph: GraphData, source: Int, conf: ExactSimConf): ExactSimResult =
-    singleSource(graph, source, conf, Some(new LocalEngine(graph.csr)))
 }

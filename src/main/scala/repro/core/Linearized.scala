@@ -10,7 +10,8 @@ import repro.linalg.{LinEngine, SparseVec}
   * The forward pass produces the ℓ-hop PPR vectors (optionally truncated per
   * the sparse-Linearization optimization); the backward pass folds them with a
   * diagonal `D̂` into the single-source SimRank vector. Both passes run on a
-  * pluggable [[LinEngine]] (distributed Spark dataflow or local CSR).
+  * pluggable [[LinEngine]]: the driver-side CSR by default, or the Spark
+  * dataflow that tests use as a cross-check.
   */
 object Linearized {
 
@@ -18,11 +19,18 @@ object Linearized {
   def iterationsFor(c: Double, eps: Double): Int =
     math.ceil(math.log(2.0 / eps) / math.log(1.0 / c)).toInt.max(1)
 
+  /** Fail fast on a query source outside `[0, n)`; the engines would
+    * otherwise fail mid-pass with a bare index error.
+    */
+  def requireSource(source: Int, n: Int): Unit =
+    require(0 <= source && source < n, s"source $source is out of range [0, $n)")
+
   /** Forward pass result.
     *
     * @param hops  π_i^0 .. π_i^L (truncated if `threshold > 0`)
-    * @param pi    Σ_ℓ π_i^ℓ — the (untruncated) PPR vector used for sample
-    *              allocation; sums to ≤ 1 (dangling nodes leak mass)
+    * @param pi    Σ_ℓ π_i^ℓ over the stored (truncated, if `threshold > 0`)
+    *              hops — the PPR vector used for sample allocation; sums to
+    *              ≤ 1 (dangling nodes and truncation leak mass)
     */
   final case class Forward(hops: IndexedSeq[SparseVec], pi: Array[Double]) {
     def piNormSq: Double = { var s = 0.0; var i = 0; while (i < pi.length) { s += pi(i) * pi(i); i += 1 }; s }

@@ -13,7 +13,8 @@ import org.apache.spark.sql.functions._
   *  - `pEdges`: edges weighted by `w = 1/d_in(dst)` — the nonzeros of the
   *    reverse transition matrix `P` (`P(i,j) = 1/d_in(j)` for `i∈I(j)`);
   *  - `csr`: a driver-side CSR of in-adjacency, for walk simulation and
-  *    reference engines (collected once; graphs here are ≤ a few M edges).
+  *    the default mat-vec engine (collected once; graphs here are ≤ a few M
+  *    edges).
   */
 final class GraphData(val spark: SparkSession, val name: String, val n: Int, rawEdges: DataFrame) {
 
@@ -46,7 +47,7 @@ final class GraphData(val spark: SparkSession, val name: String, val n: Int, raw
     p
   }
 
-  /** Driver-side CSR of the same graph (for walks and reference engines). */
+  /** Driver-side CSR of the same graph (for walks and the default mat-vec engine). */
   lazy val csr: Csr = {
     val pairs = edges
       .collect()

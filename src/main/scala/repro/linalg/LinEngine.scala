@@ -17,17 +17,21 @@ trait LinEngine {
   def mulPT(x: Array[Double]): Array[Double]
 }
 
-/** Driver-side reference engine over CSR. */
+/** Driver-side engine over the CSR every query already holds: the default
+  * engine of ExactSim and the linearized baselines. One product is a single
+  * pass over the in-adjacency, with no Spark job.
+  */
 final class LocalEngine(csr: Csr) extends LinEngine {
   def n: Int = csr.n
   def mulP(x: Array[Double]): Array[Double] = csr.mulP(x)
   def mulPT(x: Array[Double]): Array[Double] = csr.mulPT(x)
 }
 
-/** Distributed Catalyst engine: each product is a broadcast join of the
-  * (small) vector against the cached weighted edge list, followed by a
-  * grouped sum. The result is collected back to the driver, which both keeps
-  * the iteration loop simple and truncates DataFrame lineage between steps.
+/** Catalyst engine, kept as a test oracle for [[LocalEngine]]: each product
+  * is a broadcast join of the (small) vector against the cached weighted edge
+  * list, followed by a grouped sum, collected back to the driver. Each
+  * product launches Spark jobs, so it costs far more than the local pass over
+  * the same graph; the DuckDB oracle checks its dataflow.
   */
 final class SparkEngine(graph: GraphData) extends LinEngine {
   private val spark: SparkSession = graph.spark

@@ -7,13 +7,11 @@ import repro.linalg.LocalEngine
 
 class LinearizationSpec extends SimTestKit {
 
-  private def local(g: repro.graph.GraphData) = Some(new LocalEngine(g.csr))
-
   test("query with the exact diagonal reproduces the exact column (eq. 5 form)") {
     for (g <- Seq(star8, rnd40, rnd60u)) {
       val truth = groundTruth(g)
       val idx = Linearization.Index(exactD(g), 0L, 0L)
-      val res = Linearization.singleSource(g, 2, idx, C, eps = 1e-8, local(g))
+      val res = Linearization.singleSource(g, 2, idx, C, eps = 1e-8)
       assertVecNear(res.scores, truth(2), 1e-7, s"Linearization exact-D on ${g.name}")
     }
   }
@@ -23,7 +21,7 @@ class LinearizationSpec extends SimTestKit {
     val d = exactD(g)
     val eng = new LocalEngine(g.csr)
     val eps = 1e-6
-    val eq5 = Linearization.singleSource(g, 9, Linearization.Index(d, 0L, 0L), C, eps, local(g)).scores
+    val eq5 = Linearization.singleSource(g, 9, Linearization.Index(d, 0L, 0L), C, eps).scores
     val fwd = Linearized.forward(eng, 9, C, Linearized.iterationsFor(C, eps))
     val back = Linearized.backward(eng, fwd, d, C)
     back(9) = 1.0
@@ -34,7 +32,7 @@ class LinearizationSpec extends SimTestKit {
     val g = rnd60u
     val truth = groundTruth(g)
     val idx = Linearization.buildIndex(g, C, eps = 0.05, alpha = 8.0, seed = 3)
-    val res = Linearization.singleSource(g, 1, idx, C, eps = 0.05, local(g))
+    val res = Linearization.singleSource(g, 1, idx, C, eps = 0.05)
     val err = Metrics.maxError(res.scores, truth(1))
     assert(err < 0.06, s"maxErr $err")
   }
@@ -52,5 +50,13 @@ class LinearizationSpec extends SimTestKit {
     val g = rnd80
     val idx = Linearization.buildIndex(g, C, eps = 0.1, alpha = 2.0, seed = 5)
     idx.dhat.foreach(d => assert(d >= 1 - C - 0.1 && d <= 1.0 + 1e-12))
+  }
+
+  test("an out-of-range source fails fast with its id and n") {
+    val idx = Linearization.Index(exactD(rnd40), 0L, 0L)
+    for (src <- Seq(-1, rnd40.n)) {
+      val e = intercept[IllegalArgumentException](Linearization.singleSource(rnd40, src, idx, C, eps = 0.1))
+      assert(e.getMessage.contains(s"source $src") && e.getMessage.contains(s"${rnd40.n}"))
+    }
   }
 }

@@ -2,16 +2,14 @@ package repro.baselines
 
 import repro.SimTestKit
 import repro.eval.Metrics
-import repro.linalg.LocalEngine
+import repro.linalg.SparkEngine
 
 class ParSimSpec extends SimTestKit {
-
-  private def local(g: repro.graph.GraphData) = Some(new LocalEngine(g.csr))
 
   test("exact on graphs where D = (1−c)I is the true diagonal (cycle, path, pair off-diagonal)") {
     // On the cycle every node has in-degree 1, so D = (1−c)I exactly.
     val truth = groundTruth(cycle7)
-    val res = ParSim.singleSource(cycle7, 2, C, iters = 40, local(cycle7))
+    val res = ParSim.singleSource(cycle7, 2, C, iters = 40)
     assertVecNear(res.scores, truth(2), 1e-8, "ParSim on cycle7")
   }
 
@@ -19,7 +17,7 @@ class ParSimSpec extends SimTestKit {
     val g = rnd60u
     val truth = groundTruth(g)
     val errs = Seq(1, 3, 10, 40).map { l =>
-      Metrics.maxError(ParSim.singleSource(g, 4, C, l, local(g)).scores, truth(4))
+      Metrics.maxError(ParSim.singleSource(g, 4, C, l).scores, truth(4))
     }
     assert(errs(1) <= errs(0) + 1e-12 && errs(2) <= errs(1) + 1e-12)
     // The floor: more iterations stop helping once c^L ≪ bias.
@@ -31,7 +29,7 @@ class ParSimSpec extends SimTestKit {
     // star/complete graphs the bias is visible at any L.
     for (g <- Seq(star8, complete5)) {
       val truth = groundTruth(g)
-      val err = Metrics.maxError(ParSim.singleSource(g, 1, C, 50, local(g)).scores, truth(1))
+      val err = Metrics.maxError(ParSim.singleSource(g, 1, C, 50).scores, truth(1))
       assert(err > 0.01, s"${g.name}: expected visible bias, got $err")
     }
   }
@@ -39,15 +37,23 @@ class ParSimSpec extends SimTestKit {
   test("high precision@k despite MaxError bias (the paper's Figure 2 finding)") {
     val g = rnd80
     val truth = groundTruth(g)
-    val res = ParSim.singleSource(g, 5, C, 30, local(g))
+    val res = ParSim.singleSource(g, 5, C, 30)
     val prec = Metrics.precisionAtK(res.scores, truth(5), k = 10, source = 5)
     assert(prec >= 0.8, s"precision@10 $prec")
   }
 
   test("deterministic and engine-independent") {
     val g = rnd40
-    val a = ParSim.singleSource(g, 3, C, 15, local(g)).scores
-    val b = ParSim.singleSource(g, 3, C, 15).scores // Spark engine
-    assertVecNear(b, a, 1e-9, "ParSim engines")
+    val a = ParSim.singleSource(g, 3, C, 15).scores
+    val b = ParSim.singleSource(g, 3, C, 15, Some(new SparkEngine(g))).scores
+    assert(a.toSeq == ParSim.singleSource(g, 3, C, 15).scores.toSeq)
+    assertVecNear(b, a, 1e-12, "Spark vs default engine")
+  }
+
+  test("an out-of-range source fails fast with its id and n") {
+    for (src <- Seq(-1, rnd40.n)) {
+      val e = intercept[IllegalArgumentException](ParSim.singleSource(rnd40, src, C, 5))
+      assert(e.getMessage.contains(s"source $src") && e.getMessage.contains(s"${rnd40.n}"))
+    }
   }
 }

@@ -2,17 +2,15 @@ package repro.baselines
 
 import repro.SimTestKit
 import repro.eval.Metrics
-import repro.linalg.LocalEngine
+import repro.linalg.{LocalEngine, SparkEngine}
 
 class PrSimSpec extends SimTestKit {
-
-  private def local(g: repro.graph.GraphData) = Some(new LocalEngine(g.csr))
 
   test("globalPageRank is the average of the PPR vectors") {
     val g = rnd40
     val eng = new LocalEngine(g.csr)
     val iters = 30
-    val pr = PrSim.globalPageRank(g, C, iters, local(g))
+    val pr = PrSim.globalPageRank(g, C, iters)
     // Average the per-source PPR vectors computed independently.
     val avg = new Array[Double](g.n)
     (0 until g.n).foreach { s =>
@@ -23,7 +21,7 @@ class PrSimSpec extends SimTestKit {
   }
 
   test("PageRank mass is ≤ 1 and positive somewhere") {
-    val pr = PrSim.globalPageRank(rnd60u, C, 30, local(rnd60u))
+    val pr = PrSim.globalPageRank(rnd60u, C, 30)
     assert(pr.sum <= 1.0 + 1e-9 && pr.sum > 0.5)
     pr.foreach(p => assert(p >= 0))
   }
@@ -31,8 +29,8 @@ class PrSimSpec extends SimTestKit {
   test("queries with the sampled index match ground truth within tolerance") {
     val g = rnd60u
     val truth = groundTruth(g)
-    val idx = PrSim.buildIndex(g, C, eps = 0.05, alpha = 8.0, seed = 1, local(g))
-    val res = PrSim.singleSource(g, 3, idx, C, eps = 0.05, local(g))
+    val idx = PrSim.buildIndex(g, C, eps = 0.05, alpha = 8.0, seed = 1)
+    val res = PrSim.singleSource(g, 3, idx, C, eps = 0.05)
     val err = Metrics.maxError(res.scores, truth(3))
     assert(err < 0.08, s"maxErr $err")
   }
@@ -41,14 +39,14 @@ class PrSimSpec extends SimTestKit {
     val g = rnd40
     val truth = groundTruth(g)
     val idx = PrSim.Index(exactD(g), 0L, 0.0, 0L)
-    val res = PrSim.singleSource(g, 8, idx, C, eps = 1e-8, local(g))
+    val res = PrSim.singleSource(g, 8, idx, C, eps = 1e-8)
     assertVecNear(res.scores, truth(8), 1e-7, "PRSim with exact D")
   }
 
   test("plannedPairs matches the built index's walk count") {
     val g = rnd80
-    val planned = PrSim.plannedPairs(g, C, eps = 0.2, alpha = 2.0, local(g))
-    val idx = PrSim.buildIndex(g, C, eps = 0.2, alpha = 2.0, seed = 2, local(g))
+    val planned = PrSim.plannedPairs(g, C, eps = 0.2, alpha = 2.0)
+    val idx = PrSim.buildIndex(g, C, eps = 0.2, alpha = 2.0, seed = 2)
     // Planned counts every support node; the build skips trivial-D nodes.
     assert(idx.walkPairs <= planned)
     assert(planned > 0)
@@ -56,8 +54,28 @@ class PrSimSpec extends SimTestKit {
 
   test("preprocessing cost scales with n·‖π̄‖²/ε² (the §2.2 obstacle)") {
     val g = rnd80
-    val coarse = PrSim.plannedPairs(g, C, eps = 0.2, alpha = 2.0, local(g))
-    val fine = PrSim.plannedPairs(g, C, eps = 0.02, alpha = 2.0, local(g))
+    val coarse = PrSim.plannedPairs(g, C, eps = 0.2, alpha = 2.0)
+    val fine = PrSim.plannedPairs(g, C, eps = 0.02, alpha = 2.0)
     assert(fine > 50 * coarse, s"fine $fine vs coarse $coarse") // 100× in theory, ceil noise
+  }
+
+  test("deterministic and engine-independent") {
+    val g = rnd40
+    val sparkEng = Some(new SparkEngine(g))
+    assertVecNear(PrSim.globalPageRank(g, C, 10, sparkEng), PrSim.globalPageRank(g, C, 10),
+      1e-12, "global PageRank: Spark vs default engine")
+    val idx = PrSim.Index(exactD(g), 0L, 0.0, 0L)
+    val a = PrSim.singleSource(g, 8, idx, C, eps = 0.05).scores
+    assert(a.toSeq == PrSim.singleSource(g, 8, idx, C, eps = 0.05).scores.toSeq)
+    assertVecNear(PrSim.singleSource(g, 8, idx, C, eps = 0.05, sparkEng).scores, a,
+      1e-12, "query: Spark vs default engine")
+  }
+
+  test("an out-of-range source fails fast with its id and n") {
+    val idx = PrSim.Index(exactD(rnd40), 0L, 0.0, 0L)
+    for (src <- Seq(-1, rnd40.n)) {
+      val e = intercept[IllegalArgumentException](PrSim.singleSource(rnd40, src, idx, C, eps = 0.1))
+      assert(e.getMessage.contains(s"source $src") && e.getMessage.contains(s"${rnd40.n}"))
+    }
   }
 }
