@@ -22,18 +22,22 @@ object Linearization {
     def bytes: Long = dhat.length.toLong * 8
   }
 
-  final case class Result(scores: Array[Double], millis: Long)
+  /** Pair-walks per node, `R_node = ⌈α·ln n/ε²⌉`; the index costs `n·R_node`. */
+  def nodePairs(n: Int, eps: Double, alpha: Double): Long =
+    math.ceil(alpha * math.log(n.max(2)) / (eps * eps)).toLong.max(1L)
 
-  /** Build the diagonal index: Algorithm-2 sampling at every node. */
+  /** Build the diagonal index: Algorithm-2 sampling (zero-level Algorithm 3)
+    * at every node.
+    */
   def buildIndex(graph: GraphData, c: Double, eps: Double, alpha: Double,
                  seed: Long = 42): Index = {
     val t0 = System.nanoTime()
     val spark = graph.spark
     val n = graph.n
-    val rNode = math.ceil(alpha * math.log(n.max(2)) / (eps * eps)).toLong.max(1L)
+    val rNode = nodePairs(n, eps, alpha)
     val bc = spark.sparkContext.broadcast(graph.csr)
     val tasks = (0 until n).map(k => k -> rNode)
-    val res = DiagEstimator.basic(spark, bc, tasks, c, seed)
+    val res = DiagEstimator.localExploit(spark, bc, tasks, c, seed, maxLevel = 0)
     val dhat = Array.tabulate(n)(k => res.dhat.getOrElse(k, 1.0 - c))
     bc.destroy()
     Index(dhat, res.walkPairs, (System.nanoTime() - t0) / 1000000)

@@ -21,8 +21,6 @@ object McSim {
     def unpersist(): Unit = walks.unpersist()
   }
 
-  final case class Result(scores: Array[Double], millis: Long)
-
   def buildIndex(graph: GraphData, c: Double, r: Int, seed: Long = 42): Index = {
     val t0 = System.nanoTime()
     val spark = graph.spark

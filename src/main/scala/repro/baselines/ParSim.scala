@@ -11,8 +11,6 @@ import repro.linalg.{LinEngine, LocalEngine}
   */
 object ParSim {
 
-  final case class Result(scores: Array[Double], millis: Long)
-
   def singleSource(graph: GraphData, source: Int, c: Double, iters: Int,
                    engine: Option[LinEngine] = None): Result = {
     Linearized.requireSource(source, graph.n)

@@ -25,8 +25,6 @@ object PrSim {
     def bytes: Long = dhat.length.toLong * 8
   }
 
-  final case class Result(scores: Array[Double], millis: Long)
-
   /** Global PageRank proxy: π̄ = (1−√c)·Σ_ℓ (√c P)^ℓ · (1/n)·1 — the average
     * of all PPR vectors, computed with the same mat-vec engine as the queries.
     */
@@ -47,31 +45,36 @@ object PrSim {
     pi
   }
 
+  /** The index's D̂ tasks for PageRank `pr`: `R(k) = ⌈n·R_base·π̄(k)²⌉`. */
+  def indexTasks(pr: Array[Double], eps: Double, alpha: Double): IndexedSeq[(Int, Long)] = {
+    val n = pr.length
+    val rBase = alpha * math.log(n.max(2)) / (eps * eps)
+    pr.indices.collect {
+      case k if pr(k) > 0.0 => k -> math.ceil(n * rBase * pr(k) * pr(k)).toLong.max(1L)
+    }
+  }
+
   /** Pair-walk count the index build would need (budget checks, no walks run). */
   def plannedPairs(graph: GraphData, c: Double, eps: Double, alpha: Double,
                    engine: Option[LinEngine] = None): Long = {
-    val n = graph.n
     val pr = globalPageRank(graph, c, Linearized.iterationsFor(c, eps), engine)
-    val rBase = alpha * math.log(n.max(2)) / (eps * eps)
-    pr.collect { case p if p > 0.0 => math.ceil(n * rBase * p * p).toLong.max(1L) }.sum
+    indexTasks(pr, eps, alpha).map(_._2).sum
   }
 
+  /** Build the index: Algorithm-2 sampling (zero-level Algorithm 3) over
+    * [[indexTasks]].
+    */
   def buildIndex(graph: GraphData, c: Double, eps: Double, alpha: Double,
                  seed: Long = 42, engine: Option[LinEngine] = None,
                  precomputedPr: Option[Array[Double]] = None): Index = {
     val t0 = System.nanoTime()
     val spark = graph.spark
     val n = graph.n
-    val iters = Linearized.iterationsFor(c, eps)
-    val pr = precomputedPr.getOrElse(globalPageRank(graph, c, iters, engine))
+    val pr = precomputedPr.getOrElse(globalPageRank(graph, c, Linearized.iterationsFor(c, eps), engine))
     var normSq = 0.0
     pr.foreach(p => normSq += p * p)
-    val rBase = alpha * math.log(n.max(2)) / (eps * eps)
-    val tasks = (0 until n).collect {
-      case k if pr(k) > 0.0 => k -> math.ceil(n * rBase * pr(k) * pr(k)).toLong.max(1L)
-    }
     val bc = spark.sparkContext.broadcast(graph.csr)
-    val res = DiagEstimator.basic(spark, bc, tasks.toIndexedSeq, c, seed)
+    val res = DiagEstimator.localExploit(spark, bc, indexTasks(pr, eps, alpha), c, seed, maxLevel = 0)
     val dhat = Array.tabulate(n)(k => res.dhat.getOrElse(k, 1.0 - c))
     bc.destroy()
     Index(dhat, res.walkPairs, normSq, (System.nanoTime() - t0) / 1000000)

@@ -1,28 +1,29 @@
 package repro.core
 
-import java.util.SplittableRandom
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 import repro.graph.Csr
 
 import scala.collection.mutable
 
-/** Estimators for the diagonal correction matrix `D`.
+/** The estimator for the diagonal correction matrix `D`: Algorithm 3, of which
+  * Algorithm 2 is the zero-level case.
   *
-  * - [[basic]] — Algorithm 2: `R(k)` independent √c-walk pairs from `v_k`;
-  *   `D̂(k,k)` = fraction of pairs that never meet.
-  * - [[localExploit]] — Algorithm 3: deterministically compute the first-meet
-  *   probabilities `Z_ℓ(k) = Σ_q Z_ℓ(k,q)` level by level via the Lemma-4
-  *   recursion, charging every traversed edge against the budget
-  *   `2R(k)/√c` (the expected step cost of plain sampling); then estimate the
-  *   tail `Σ_{ℓ>ℓ(k)} Z_ℓ(k)` with walks whose first `ℓ(k)` steps are
-  *   non-stopping, scaled by `c^{ℓ(k)}`.
+  * [[localExploit]] first computes the first-meet probabilities
+  * `Z_ℓ(k) = Σ_q Z_ℓ(k,q)` deterministically, level by level via the Lemma-4
+  * recursion, charging every traversed edge against the budget `2R(k)/√c`
+  * (the expected step cost of plain sampling) — phase A. It then estimates
+  * the tail `Σ_{ℓ>ℓ(k)} Z_ℓ(k)` with walks whose first `ℓ(k)` steps are
+  * non-stopping, scaled by `c^{ℓ(k)}` — phase B. With `maxLevel = 0` no level
+  * is computed, `zSum = 0`, and the tail walks are plain √c-walk pairs from
+  * `(k, k)`: Algorithm 2, where `D̂(k,k)` is the fraction of `R(k)` pairs that
+  * never meet.
   *
-  * Both run as distributed Spark jobs over the tasks `(k, R(k))` with a
-  * broadcast CSR (the paper's §3.2 parallelization). [[localExploit]] splits
-  * each node into a deterministic phase (one task per node, edge-budgeted)
-  * and a sampling phase that is chunked across the cluster like Algorithm 2,
-  * so a hub node with a huge `R(k)` cannot serialize onto one core.
+  * Both phases run as Spark jobs over the tasks `(k, R(k))` with a broadcast
+  * CSR (the paper's §3.2 parallelization): phase A as one edge-budgeted task
+  * per node (skipped, with no job, at zero levels), phase B chunked across
+  * the cluster by [[Walks.pairMeetCounts]], so a hub node with a huge `R(k)`
+  * cannot serialize onto one core.
   */
 object DiagEstimator {
 
@@ -45,44 +46,45 @@ object DiagEstimator {
     case _ => None
   }
 
-  /** Algorithm 2 driven by the distributed walk engine. */
-  def basic(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
-            c: Double, seed: Long): DiagResult = {
-    val g = csr.value
-    val (triv, sampled) = tasks.partition { case (k, _) => trivial(g, k, c).isDefined }
-    val trivMap = triv.map { case (k, _) => k -> trivial(g, k, c).get }.toMap
-    if (sampled.isEmpty) return DiagResult(trivMap, 0L, 0L)
-    val counts = Walks.pairMeetCounts(spark, csr, sampled, c, seed)
-    val est = counts.map { case (k, mc) => k -> (1.0 - mc.meets.toDouble / mc.pairs) }
-    DiagResult(trivMap ++ est, sampled.map(_._2).sum, 0L)
-  }
+  /** Default level cap of phase A. */
+  val MaxLevel: Int = 30
+
+  /** Phase A's edge budget for a node with `rk` samples:
+    * `min(2R(k)/√c, MaxEdgesPerNode)`.
+    */
+  def edgeBudget(rk: Long, c: Double): Long =
+    math.min((2.0 * rk / math.sqrt(c)).toLong, MaxEdgesPerNode)
 
   /** Result of the deterministic phase for one node. */
   final case class Deterministic(zSum: Double, level: Int, edges: Long)
 
-  /** Algorithm 3 applied to every task node, distributed over Spark. */
+  /** Algorithm 3 applied to every task node, distributed over Spark;
+    * `maxLevel = 0` gives Algorithm 2.
+    */
   def localExploit(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
-                   c: Double, seed: Long, maxLevel: Int = 30): DiagResult = {
+                   c: Double, seed: Long, maxLevel: Int = MaxLevel): DiagResult = {
     import spark.implicits._
     val g = csr.value
-    if (tasks.isEmpty) return DiagResult(Map.empty, 0L, 0L)
     val (triv, work) = tasks.partition { case (k, _) => trivial(g, k, c).isDefined }
     val trivMap = triv.map { case (k, _) => k -> trivial(g, k, c).get }.toMap
     if (work.isEmpty) return DiagResult(trivMap, 0L, 0L)
 
     // Phase A: deterministic exploitation, one (budget-capped) task per node.
-    val parts = math.min(512, math.max(spark.sparkContext.defaultParallelism, work.size / 64 + 1))
-    val detRows = spark.createDataset(work).repartition(parts).mapPartitions { it =>
-      val graph = csr.value
-      it.map { case (k, rk) =>
-        val d = deterministicPhase(graph, k, rk, c, maxLevel)
-        (k, rk, d.zSum, d.level, d.edges)
+    // With zero levels every node's result is (zSum 0, level 0, edges 0), so
+    // the rows are built on the driver and no Spark job runs.
+    val detRows =
+      if (maxLevel == 0) work.map { case (k, rk) => phaseARow(g, k, rk, c, 0) }.toArray
+      else {
+        val parts = math.min(512, math.max(spark.sparkContext.defaultParallelism, work.size / 64 + 1))
+        spark.createDataset(work).repartition(parts).mapPartitions { it =>
+          val graph = csr.value
+          it.map { case (k, rk) => phaseARow(graph, k, rk, c, maxLevel) }
+        }.collect()
       }
-    }.collect()
 
     // Phase B: tail sampling, chunked across the cluster.
     val tailTasks = detRows.map { case (k, rk, _, level, _) => (k, rk, level) }.toSeq
-    val tails = Walks.pairTailMeetCounts(spark, csr, tailTasks, c, seed)
+    val tails = Walks.pairMeetCounts(spark, csr, tailTasks, c, seed)
     val est = detRows.map { case (k, rk, zSum, level, _) =>
       val tail = tails.get(k) match {
         case Some(mc) if mc.pairs > 0 => math.pow(c, level) * mc.meets.toDouble / mc.pairs
@@ -93,6 +95,12 @@ object DiagEstimator {
     DiagResult(trivMap ++ est, work.map(_._2).sum, detRows.map(_._5).sum)
   }
 
+  /** One phase-A row: (k, R(k), zSum, level, edges). */
+  private def phaseARow(g: Csr, k: Int, rk: Long, c: Double, maxLevel: Int): (Int, Long, Double, Int, Long) = {
+    val d = deterministicPhase(g, k, edgeBudget(rk, c), c, maxLevel)
+    (k, rk, d.zSum, d.level, d.edges)
+  }
+
   /** Thrown inside the level computation when the edge budget is exhausted;
     * the partially computed level is discarded (ℓ(k) = completed levels).
     */
@@ -100,16 +108,10 @@ object DiagEstimator {
 
   /** The deterministic part of Algorithm 3 for one node: completed-level
     * first-meeting mass `Σ_{ℓ≤ℓ(k)} Z_ℓ(k)`, the reached level, and the edges
-    * traversed. The budget `min(2R(k)/√c, MaxEdgesPerNode)` is enforced at
+    * traversed. The edge `budget` (normally [[edgeBudget]]) is enforced at
     * edge granularity — mid-level overruns abort and discard that level.
     */
-  def deterministicPhase(g: Csr, k: Int, rk: Long, c: Double, maxLevel: Int,
-                         unboundedBudget: Boolean = false): Deterministic = {
-    val sqrtC = math.sqrt(c)
-    val budget =
-      if (unboundedBudget) Long.MaxValue
-      else math.min((2.0 * rk / sqrtC).toLong, MaxEdgesPerNode)
-
+  def deterministicPhase(g: Csr, k: Int, budget: Long, c: Double, maxLevel: Int): Deterministic = {
     var edges = 0L
     // Memoized non-stop transition distributions: dists(q)(ℓ) = (Pᵀ)^ℓ(q,·).
     val dists = mutable.HashMap.empty[Int, mutable.ArrayBuffer[mutable.HashMap[Int, Double]]]
@@ -177,32 +179,9 @@ object DiagEstimator {
     Deterministic(zSum, completed, edges)
   }
 
-  /** Algorithm 3 for a single node, fully in-process (tests / reference):
-    * deterministic phase plus serial tail sampling.
-    */
-  def estimateNode(g: Csr, k: Int, rk: Long, c: Double, rng: SplittableRandom,
-                   maxLevel: Int = 30, unboundedBudget: Boolean = false): (Double, Long) = {
-    val triv = trivial(g, k, c)
-    if (triv.isDefined) return (triv.get, 0L)
-    val det = deterministicPhase(g, k, rk, c, maxLevel, unboundedBudget)
-    val sqrtC = math.sqrt(c)
-    var tailMeets = 0L
-    var r = 0L
-    while (r < rk) {
-      if (Walks.simulateTailPairMeet(g, k, det.level, sqrtC, rng)) tailMeets += 1
-      r += 1
-    }
-    val tail = math.pow(c, det.level) * tailMeets.toDouble / math.max(1L, rk)
-    (1.0 - det.zSum - tail, det.edges)
-  }
-
   /** Exact D via the deterministic recursion alone (tests): run the Lemma-4
     * levels to `depth` with an unbounded budget; the untracked tail is ≤ c^depth.
     */
-  def exactByRecursion(g: Csr, k: Int, c: Double, depth: Int): Double = {
-    val rng = new SplittableRandom(1)
-    // rk = 0 → no tail sampling; unbounded budget → full depth. Residual ≤ c^depth.
-    val (dh, _) = estimateNode(g, k, 0L, c, rng, maxLevel = depth, unboundedBudget = true)
-    dh
-  }
+  def exactByRecursion(g: Csr, k: Int, c: Double, depth: Int): Double =
+    trivial(g, k, c).getOrElse(1.0 - deterministicPhase(g, k, Long.MaxValue, c, depth).zSum)
 }

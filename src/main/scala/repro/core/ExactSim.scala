@@ -16,7 +16,8 @@ import repro.linalg.{LinEngine, LocalEngine}
   *                    `(1−√c)²·ε/2` and halve ε elsewhere, per Lemma 2
   * @param piSquared   allocate samples ∝ π_i(k)²/‖π_i‖² and scale R by ‖π_i‖²
   *                    (Lemma 3) instead of ∝ π_i(k)
-  * @param localExploit use Algorithm 3 instead of Algorithm 2 for D̂
+  * @param localExploit use Algorithm 3 for D̂; off runs it with zero
+  *                    deterministic levels, which is Algorithm 2
   * @param seed        RNG seed for the walk engine
   */
 final case class ExactSimConf(
@@ -105,9 +106,8 @@ object ExactSim {
     val tasks = allocate(fwd.pi, r, conf.piSquared)
 
     val bc = spark.sparkContext.broadcast(graph.csr)
-    val diag =
-      if (conf.localExploit) DiagEstimator.localExploit(spark, bc, tasks, conf.c, conf.seed)
-      else DiagEstimator.basic(spark, bc, tasks, conf.c, conf.seed)
+    val diag = DiagEstimator.localExploit(spark, bc, tasks, conf.c, conf.seed,
+      maxLevel = if (conf.localExploit) DiagEstimator.MaxLevel else 0)
 
     val dhat = new Array[Double](graph.n)
     var k = 0

@@ -1,22 +1,16 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.graph.{Csr, GraphData}
+import repro.graph.Csr
 
 /** The classic exact all-pairs SimRank algorithm (Jeh & Widom) — the paper's
   * ground-truth oracle for small graphs (§4.1): iterate
   * `S ← (c·Pᵀ S P) ∨ I` from `S = I`; after `L` iterations the additive error
   * is at most `c^L`.
   *
-  * Two implementations:
-  *  - `simrank`: dense driver-side arrays, O(n·m) per iteration, used for
-  *    ground truth on graphs up to a few thousand nodes. SimRank matrices are
-  *    symmetric, which lets both half-products run as cache-friendly row
-  *    operations (`S' = c·Pᵀ(PᵀS)ᵀ`).
-  *  - `simrankDistributed`: the same recurrence as a Spark DataFrame over
-  *    (i, j, s) triples — exercises the shuffle path and is oracle-checked
-  *    against DuckDB; practical only for tiny n.
+  * `simrank` runs on dense driver-side arrays, O(n·m) per iteration, and gives
+  * ground truth on graphs up to a few thousand nodes. SimRank matrices are
+  * symmetric, which lets both half-products run as cache-friendly row
+  * operations (`S' = c·Pᵀ(PᵀS)ᵀ`). `exactDiag` derives the exact `D` from it.
   */
 object PowerMethod {
 
@@ -100,47 +94,5 @@ object PowerMethod {
       k += 1
     }
     d
-  }
-
-  /** One power-method iteration as a Catalyst dataflow over (i, j, s) triples:
-    * `S' = (c·Pᵀ S P) ∨ I`. Zero entries are implicit. Used by tests (with the
-    * DuckDB oracle) and by the distributed variant below.
-    */
-  def iterateDistributed(graph: GraphData, s: DataFrame, c: Double): DataFrame = {
-    val spark = graph.spark
-    val p = graph.pEdges
-    // A(i,j) = Σ_a P(a,i)·S(a,j)  — join S.i with edge src, roll up to dst.
-    val a = p.withColumnRenamed("src", "i").withColumnRenamed("dst", "ii")
-      .join(s, "i")
-      .groupBy(col("ii").as("i"), col("j"))
-      .agg(sum(col("w") * col("s")).as("s"))
-    // B(i,j) = c·Σ_b A(i,b)·P(b,j) — join A.j with edge src, roll up to dst.
-    val b = a.withColumnRenamed("j", "b")
-      .join(p.select(col("src").as("b"), col("dst").as("j"), col("w")), "b")
-      .groupBy(col("i"), col("j"))
-      .agg((lit(c) * sum(col("s") * col("w"))).as("s"))
-    // ∨ I: drop computed diagonal (≤ c < 1), union the exact identity diagonal.
-    val eye = spark.range(graph.n).select(col("id").as("i"), col("id").as("j"), lit(1.0).as("s"))
-    b.where(col("i") =!= col("j")).unionByName(eye)
-  }
-
-  /** Distributed power method for tiny graphs: L iterations of the dataflow
-    * above, collecting between iterations to truncate lineage.
-    */
-  def simrankDistributed(graph: GraphData, c: Double, iters: Int): Array[Array[Double]] = {
-    val spark = graph.spark
-    import spark.implicits._
-    val n = graph.n
-    var s: DataFrame = spark.range(n).select(col("id").as("i"), col("id").as("j"), lit(1.0).as("s"))
-    var it = 0
-    while (it < iters) {
-      val rows = iterateDistributed(graph, s, c).collect()
-      s = spark.createDataset(rows.map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toIndexedSeq)
-        .toDF("i", "j", "s")
-      it += 1
-    }
-    val out = Array.fill(n)(new Array[Double](n))
-    s.collect().foreach(r => out(r.getLong(0).toInt)(r.getLong(1).toInt) = r.getDouble(2))
-    out
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.SplittableRandom
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Csr
 
 /** Distributed √c-walk simulation.
@@ -11,6 +11,8 @@ import repro.graph.Csr
   * stops otherwise; it also stops (forcedly) at a node with no in-neighbors.
   * Two walks *meet* if they are at the same node at the same step ≥ 1.
   *
+  * Two Spark kernels: [[pairMeetCounts]], the one pair-walk kernel behind
+  * every D̂ estimate, and [[walkIndex]], the MC baseline's walk index.
   * Work is sharded into chunks of at most [[ChunkSize]] samples and executed
   * with `Dataset.mapPartitions` over a broadcast CSR; RNG streams are seeded
   * per (node, chunk) so results are reproducible for a fixed seed regardless
@@ -20,52 +22,18 @@ object Walks {
 
   val ChunkSize = 8192
 
-  /** One D̂ sampling task: simulate `pairs` independent √c-walk pairs from
-    * `node` (Algorithm 2) and report how many pairs met.
-    */
+  /** Per-node totals of a D̂ sampling task: how many of `pairs` pair-walks met. */
   final case class MeetCount(node: Int, pairs: Long, meets: Long)
 
-  /** Simulate pair-walks per node: input (node, numPairs); output per-node
-    * totals. `Pr[meet]`'s complement is the Algorithm-2 estimator for D(k,k).
+  /** D̂ tail sampling (Algorithm 3, and Algorithm 2 at prefix 0): input
+    * (node, pairs, prefixLen); output per-node totals. A pair counts as a
+    * meet iff the walks survive `prefixLen` forced (non-stopping) steps
+    * without meeting or dying and the subsequent √c-walks meet. The caller
+    * scales by `c^prefixLen`; at prefix 0 the meet fraction's complement is
+    * the Algorithm-2 estimate of D(k,k).
     */
-  def pairMeetCounts(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
-                     c: Double, seed: Long): Map[Int, MeetCount] = {
-    import spark.implicits._
-    val chunks = tasks.flatMap { case (node, pairs) =>
-      val full = (pairs / ChunkSize).toInt
-      val rem = pairs - full.toLong * ChunkSize
-      (0 until full).map(ci => (node, ChunkSize.toLong, ci)) ++
-        (if (rem > 0) Seq((node, rem, full)) else Nil)
-    }
-    val parts = math.min(512, math.max(spark.sparkContext.defaultParallelism, chunks.size / 4 + 1))
-    val ds: Dataset[(Int, Long, Int)] = spark.createDataset(chunks).repartition(parts)
-    val res = ds.mapPartitions { it =>
-      val g = csr.value
-      val sqrtC = math.sqrt(c)
-      it.map { case (node, pairs, chunk) =>
-        val rng = new SplittableRandom(mix(seed, node, chunk))
-        var meets = 0L
-        var r = 0L
-        while (r < pairs) {
-          if (simulatePairMeet(g, node, node, sqrtC, rng)) meets += 1
-          r += 1
-        }
-        (node, pairs, meets)
-      }
-    }.toDF("node", "pairs", "meets")
-      .groupBy("node")
-      .agg(org.apache.spark.sql.functions.sum("pairs").as("pairs"),
-           org.apache.spark.sql.functions.sum("meets").as("meets"))
-    res.collect().map(r => r.getInt(0) -> MeetCount(r.getInt(0), r.getLong(1), r.getLong(2))).toMap
-  }
-
-  /** Tail sampling of Algorithm 3, chunked like [[pairMeetCounts]]: input
-    * (node, pairs, prefixLen); a pair counts as a meet iff the walks survive
-    * `prefixLen` forced (non-stopping) steps without meeting or dying and
-    * the subsequent √c-walks meet. The caller scales by `c^prefixLen`.
-    */
-  def pairTailMeetCounts(spark: SparkSession, csr: Broadcast[Csr],
-                         tasks: Seq[(Int, Long, Int)], c: Double, seed: Long): Map[Int, MeetCount] = {
+  def pairMeetCounts(spark: SparkSession, csr: Broadcast[Csr],
+                     tasks: Seq[(Int, Long, Int)], c: Double, seed: Long): Map[Int, MeetCount] = {
     import spark.implicits._
     val chunks = tasks.flatMap { case (node, pairs, prefix) =>
       val full = (pairs / ChunkSize).toInt
@@ -98,7 +66,8 @@ object Walks {
   /** One Algorithm-3 tail sample from `k`: both walks take `prefix` forced
     * steps; pairs that die or meet inside the prefix contribute no meet
     * (those meets are covered by the deterministic Z sums). Afterwards the
-    * pair behaves as two plain √c-walks.
+    * pair behaves as two plain √c-walks, so at prefix 0 this is
+    * `simulatePairMeet(g, k, k, …)` draw for draw.
     */
   def simulateTailPairMeet(g: Csr, k: Int, prefix: Int, sqrtC: Double, rng: SplittableRandom): Boolean = {
     var a = k

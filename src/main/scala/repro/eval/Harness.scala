@@ -138,8 +138,7 @@ object Harness {
                          k: Int, epsLadder: Seq[Double], alpha: Double,
                          maxWalkPairs: Long): Seq[SweepRow] =
     epsLadder.map { eps =>
-      val rNode = math.ceil(alpha * math.log(graph.n.max(2)) / (eps * eps)).toLong
-      val estPairs = rNode * graph.n
+      val estPairs = Linearization.nodePairs(graph.n, eps, alpha) * graph.n
       if (estPairs > maxWalkPairs) skipped(graph.name, "Linearization", f"eps=$eps%.0e", "walk budget")
       else {
         val idx = Linearization.buildIndex(graph, C, eps, alpha, seed = 57)
@@ -160,12 +159,8 @@ object Harness {
                  k: Int, epsLadder: Seq[Double], alpha: Double,
                  maxWalkPairs: Long): Seq[SweepRow] = {
     val pr = PrSim.globalPageRank(graph, C, Linearized.iterationsFor(C, epsLadder.min))
-    val rLnN = math.log(graph.n.max(2))
     epsLadder.map { eps =>
-      val rBase = alpha * rLnN / (eps * eps)
-      val planned = pr.collect {
-        case p if p > 0.0 => math.ceil(graph.n * rBase * p * p).toLong.max(1L)
-      }.sum
+      val planned = PrSim.indexTasks(pr, eps, alpha).map(_._2).sum
       if (planned > maxWalkPairs) skipped(graph.name, "PRSim", f"eps=$eps%.0e", "walk budget")
       else {
         val idx = PrSim.buildIndex(graph, C, eps, alpha, seed = 83, precomputedPr = Some(pr))

@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.core.PowerMethod
 import repro.eval.Harness
 import repro.graph.{GraphData, GraphGen}
@@ -48,6 +51,20 @@ trait SimTestKit extends SparkSpec {
       .withInitialSeed(org.scalacheck.rng.Seed(12345L))
     val res = org.scalacheck.Test.check(params, prop)
     assert(res.passed, s"property failed: ${res.status}")
+  }
+
+  /** Spark jobs started while `body` runs on the shared session. */
+  def jobsDuring(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(listener)
+    try { body; ListenerBusDrain(sc) }
+    finally sc.removeSparkListener(listener)
+    jobs.get
   }
 
   def assertVecNear(got: Array[Double], want: Array[Double], tol: Double, what: String): Unit = {

@@ -1,6 +1,5 @@
 package repro.core
 
-import java.util.SplittableRandom
 import repro.SimTestKit
 
 class DiagEstimatorSpec extends SimTestKit {
@@ -17,7 +16,8 @@ class DiagEstimatorSpec extends SimTestKit {
       val d = exactD(g)
       val bc = spark.sparkContext.broadcast(g.csr)
       val tasks = (0 until g.n).map(k => k -> 30000L)
-      val res = DiagEstimator.basic(spark, bc, tasks, C, seed = 21)
+      val res = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 21, maxLevel = 0)
+      assert(res.edgesExplored == 0L)
       (0 until g.n).foreach { k =>
         assert(math.abs(res.dhat(k) - d(k)) < 0.02,
           s"${g.name} D($k): ${res.dhat(k)} vs ${d(k)}")
@@ -27,7 +27,8 @@ class DiagEstimatorSpec extends SimTestKit {
 
   test("basic returns exact values for trivial nodes without sampling") {
     val bc = spark.sparkContext.broadcast(pair.csr)
-    val res = DiagEstimator.basic(spark, bc, Seq(0 -> 10L, 1 -> 10L, 2 -> 10L), C, seed = 1)
+    val res = DiagEstimator.localExploit(spark, bc, Seq(0 -> 10L, 1 -> 10L, 2 -> 10L), C, seed = 1,
+      maxLevel = 0)
     assert(res.dhat(2) == 1.0 && res.dhat(0) == 1.0 - C && res.dhat(1) == 1.0 - C)
     assert(res.walkPairs == 0L)
     bc.destroy()
@@ -56,27 +57,31 @@ class DiagEstimatorSpec extends SimTestKit {
   }
 
   test("estimateNode with sampling matches exact D within tolerance") {
+    // One node per call, each with its own seed: a single-task estimate of D(k,k).
     for (g <- Seq(star8, rnd40, rnd80)) {
       val d = exactD(g)
+      val bc = spark.sparkContext.broadcast(g.csr)
       val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).take(6)
       ks.foreach { k =>
-        val rng = new SplittableRandom(77 + k)
-        val (est, _) = DiagEstimator.estimateNode(g.csr, k, 20000L, C, rng)
-        assert(math.abs(est - d(k)) < 0.02, s"${g.name} D($k): $est vs ${d(k)}")
+        val res = DiagEstimator.localExploit(spark, bc, Seq(k -> 20000L), C, seed = 77 + k)
+        assert(res.walkPairs == 20000L)
+        assert(math.abs(res.dhat(k) - d(k)) < 0.02, s"${g.name} D($k): ${res.dhat(k)} vs ${d(k)}")
       }
+      bc.destroy()
     }
   }
 
   test("localExploit (distributed Algorithm 3) matches exact D") {
-    val g = rnd60u
-    val d = exactD(g)
-    val bc = spark.sparkContext.broadcast(g.csr)
-    val tasks = (0 until g.n).map(k => k -> 10000L)
-    val res = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 31)
-    (0 until g.n).foreach { k =>
-      assert(math.abs(res.dhat(k) - d(k)) < 0.03, s"D($k): ${res.dhat(k)} vs ${d(k)}")
+    for (g <- Seq(rnd60u, star8, rnd40, rnd80)) {
+      val d = exactD(g)
+      val bc = spark.sparkContext.broadcast(g.csr)
+      val tasks = (0 until g.n).map(k => k -> 20000L)
+      val res = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 31)
+      (0 until g.n).foreach { k =>
+        assert(math.abs(res.dhat(k) - d(k)) < 0.02, s"${g.name} D($k): ${res.dhat(k)} vs ${d(k)}")
+      }
+      bc.destroy()
     }
-    bc.destroy()
   }
 
   test("localExploit reports deterministic edge exploration") {
@@ -93,11 +98,9 @@ class DiagEstimatorSpec extends SimTestKit {
   test("bigger budgets push more work into the deterministic part") {
     val g = rnd80
     val k = (0 until g.n).maxBy(g.csr.inDeg)
-    val rngA = new SplittableRandom(1)
-    val rngB = new SplittableRandom(1)
-    val (_, edgesSmall) = DiagEstimator.estimateNode(g.csr, k, 10L, C, rngA)
-    val (_, edgesBig) = DiagEstimator.estimateNode(g.csr, k, 100000L, C, rngB)
-    assert(edgesBig > edgesSmall)
+    def edges(rk: Long) =
+      DiagEstimator.deterministicPhase(g.csr, k, DiagEstimator.edgeBudget(rk, C), C, DiagEstimator.MaxLevel).edges
+    assert(edges(100000L) > edges(10L))
   }
 
   test("variance shrinks with local exploitation at equal sample counts") {
@@ -110,11 +113,24 @@ class DiagEstimatorSpec extends SimTestKit {
     val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2)
     val bc = spark.sparkContext.broadcast(g.csr)
     val tasks = ks.map(k => k -> 300L)
-    val alg2 = DiagEstimator.basic(spark, bc, tasks, C, seed = 13)
+    val alg2 = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 13, maxLevel = 0)
     val alg3 = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 13)
     def sse(m: Map[Int, Double]) = ks.map(k => math.pow(m(k) - d(k), 2)).sum
     assert(sse(alg3.dhat) < sse(alg2.dhat),
       s"alg3 sse ${sse(alg3.dhat)} should beat alg2 sse ${sse(alg2.dhat)}")
+    bc.destroy()
+  }
+
+  test("zero levels (Algorithm 2) skip phase A's Spark job") {
+    val g = rnd80
+    val bc = spark.sparkContext.broadcast(g.csr)
+    val tasks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).map(k => k -> 500L)
+    def run(maxLevel: Int) = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 7, maxLevel = maxLevel)
+    val jobsZero = jobsDuring(run(0))
+    val jobsFull = jobsDuring(run(DiagEstimator.MaxLevel))
+    assert(jobsZero < jobsFull, s"zero levels: $jobsZero jobs, default levels: $jobsFull jobs")
+    val zero = run(0)
+    assert(zero.edgesExplored == 0L && zero.walkPairs == tasks.map(_._2).sum)
     bc.destroy()
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
-import repro.{Oracle, SimTestKit}
-import repro.graph.GraphGen
+import repro.SimTestKit
 
 class PowerMethodSpec extends SimTestKit {
 
@@ -88,33 +87,4 @@ class PowerMethodSpec extends SimTestKit {
       col(src) = 1.0
       assertVecNear(col, s(src), 1e-7, s"linearized column on ${g.name}")
     }
-
-  test("one distributed power iteration matches DuckDB") {
-    val g = pair
-    val spark = g.spark
-    import org.apache.spark.sql.functions._
-    val s0 = spark.range(g.n).select(col("id").as("i"), col("id").as("j"), lit(1.0).as("s"))
-    val it = PowerMethod.iterateDistributed(g, s0, C)
-    Oracle.assertEquivalent(
-      it.select(col("i"), col("j"), round(col("s"), 6).as("s")),
-      """WITH p AS (SELECT CAST(src AS BIGINT) src, CAST(dst AS BIGINT) dst, CAST(w AS DOUBLE) w FROM e),
-        |     s AS (SELECT CAST(i AS BIGINT) i, CAST(j AS BIGINT) j, CAST(s AS DOUBLE) s FROM s0),
-        |     a AS (SELECT p.dst AS i, s.j AS j, SUM(p.w * s.s) AS s
-        |           FROM p JOIN s ON p.src = s.i GROUP BY p.dst, s.j),
-        |     b AS (SELECT a.i AS i, p.dst AS j, 0.6 * SUM(a.s * p.w) AS s
-        |           FROM a JOIN p ON a.j = p.src GROUP BY a.i, p.dst)
-        |SELECT i, j, ROUND(s, 6) AS s FROM b WHERE i <> j
-        |UNION ALL
-        |SELECT r.range AS i, r.range AS j, 1.0 AS s FROM RANGE(3) r""".stripMargin,
-      "e" -> g.pEdges, "s0" -> s0)
-  }
-
-  test("distributed power method equals the dense power method on tiny graphs") {
-    for (g <- Seq(pair, GraphGen.cycle(spark, 4), GraphGen.localRandom(spark, "rnd12", 12, 40, seed = 8))) {
-      val dist = PowerMethod.simrankDistributed(g, C, 8)
-      val dense = PowerMethod.simrank(g.csr, C, 8)
-      for (i <- 0 until g.n)
-        assertVecNear(dist(i), dense(i), 1e-9, s"distributed vs dense on ${g.name} row $i")
-    }
-  }
 }

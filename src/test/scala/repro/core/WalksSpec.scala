@@ -12,7 +12,7 @@ class WalksSpec extends SimTestKit {
     // From node 0 of `pair`, both walks step to node 2 iff both continue (c);
     // they then coincide ⇒ Pr[meet] = c exactly.
     val bc = spark.sparkContext.broadcast(pair.csr)
-    val res = Walks.pairMeetCounts(spark, bc, Seq(0 -> 40000L), C, seed = 1)
+    val res = Walks.pairMeetCounts(spark, bc, Seq((0, 40000L, 0)), C, seed = 1)
     val frac = res(0).meets.toDouble / res(0).pairs
     assert(math.abs(frac - C) < 0.01, s"meet fraction $frac vs $C")
     bc.destroy()
@@ -20,7 +20,7 @@ class WalksSpec extends SimTestKit {
 
   test("pair-walks on a cycle meet with probability c (deterministic movement)") {
     val bc = spark.sparkContext.broadcast(cycle7.csr)
-    val res = Walks.pairMeetCounts(spark, bc, Seq(3 -> 40000L), C, seed = 2)
+    val res = Walks.pairMeetCounts(spark, bc, Seq((3, 40000L, 0)), C, seed = 2)
     val frac = res(3).meets.toDouble / res(3).pairs
     // Both walks move in lock-step; they "meet" at step 1 iff both continue.
     assert(math.abs(frac - C) < 0.01, s"meet fraction $frac vs $C")
@@ -32,7 +32,7 @@ class WalksSpec extends SimTestKit {
       val d = exactD(g)
       val k = (0 until g.n).find(v => g.csr.inDeg(v) >= 2).get
       val bc = spark.sparkContext.broadcast(g.csr)
-      val res = Walks.pairMeetCounts(spark, bc, Seq(k -> 60000L), C, seed = 3)
+      val res = Walks.pairMeetCounts(spark, bc, Seq((k, 60000L, 0)), C, seed = 3)
       val est = 1.0 - res(k).meets.toDouble / res(k).pairs
       assert(math.abs(est - d(k)) < 0.015, s"${g.name} node $k: $est vs ${d(k)}")
       bc.destroy()
@@ -41,20 +41,32 @@ class WalksSpec extends SimTestKit {
 
   test("task chunking preserves requested totals across many nodes") {
     val bc = spark.sparkContext.broadcast(rnd40.csr)
-    val tasks = Seq(0 -> 100L, 1 -> 8192L, 2 -> 8193L, 3 -> 20000L)
+    val tasks = Seq((0, 100L, 0), (1, 8192L, 0), (2, 8193L, 0), (3, 20000L, 0))
     val res = Walks.pairMeetCounts(spark, bc, tasks, C, seed = 4)
-    tasks.foreach { case (k, r) => assert(res(k).pairs == r, s"node $k: ${res(k).pairs}") }
+    tasks.foreach { case (k, r, _) => assert(res(k).pairs == r, s"node $k: ${res(k).pairs}") }
     bc.destroy()
   }
 
   test("pairMeetCounts is deterministic in the seed") {
     val bc = spark.sparkContext.broadcast(rnd40.csr)
-    val a = Walks.pairMeetCounts(spark, bc, Seq(5 -> 5000L), C, seed = 99)(5).meets
-    val b = Walks.pairMeetCounts(spark, bc, Seq(5 -> 5000L), C, seed = 99)(5).meets
-    val c2 = Walks.pairMeetCounts(spark, bc, Seq(5 -> 5000L), C, seed = 100)(5).meets
+    val a = Walks.pairMeetCounts(spark, bc, Seq((5, 5000L, 0)), C, seed = 99)(5).meets
+    val b = Walks.pairMeetCounts(spark, bc, Seq((5, 5000L, 0)), C, seed = 99)(5).meets
+    val c2 = Walks.pairMeetCounts(spark, bc, Seq((5, 5000L, 0)), C, seed = 100)(5).meets
     assert(a == b)
     assert(a != c2, "different seeds should (overwhelmingly) differ")
     bc.destroy()
+  }
+
+  test("a zero-prefix tail sample is simulatePairMeet from (k, k), draw for draw") {
+    for (g <- battery; k <- 0 until g.n) {
+      val tail = new SplittableRandom(100 + k)
+      val plain = new SplittableRandom(100 + k)
+      (1 to 500).foreach { i =>
+        assert(Walks.simulateTailPairMeet(g.csr, k, 0, sqrtC, tail) ==
+          Walks.simulatePairMeet(g.csr, k, k, sqrtC, plain), s"${g.name} node $k draw $i")
+      }
+      assert(tail.nextLong() == plain.nextLong(), s"${g.name} node $k: streams end in different states")
+    }
   }
 
   test("simulatePairMeet from distinct cycle nodes never meets") {

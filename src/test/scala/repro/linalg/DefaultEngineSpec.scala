@@ -1,8 +1,5 @@
 package repro.linalg
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SimTestKit
 import repro.baselines.ParSim
 import repro.core.{ExactSim, ExactSimConf}
@@ -11,20 +8,6 @@ import repro.core.{ExactSim, ExactSimConf}
   * the driver-side CSR, so they launch no Spark jobs. Only D̂ does.
   */
 class DefaultEngineSpec extends SimTestKit {
-
-  /** Spark jobs started while `body` runs on the shared session. */
-  private def jobsDuring(body: => Unit): Int = {
-    val sc = spark.sparkContext
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
-    ListenerBusDrain(sc)
-    sc.addSparkListener(listener)
-    try { body; ListenerBusDrain(sc) }
-    finally sc.removeSparkListener(listener)
-    jobs.get
-  }
 
   test("ParSim with the default engine launches no Spark jobs") {
     val g = rnd80
