@@ -32,15 +32,10 @@ object Linearization {
   def buildIndex(graph: GraphData, c: Double, eps: Double, alpha: Double,
                  seed: Long = 42): Index = {
     val t0 = System.nanoTime()
-    val spark = graph.spark
-    val n = graph.n
-    val rNode = nodePairs(n, eps, alpha)
-    val bc = spark.sparkContext.broadcast(graph.csr)
-    val tasks = (0 until n).map(k => k -> rNode)
-    val res = DiagEstimator.localExploit(spark, bc, tasks, c, seed, maxLevel = 0)
-    val dhat = Array.tabulate(n)(k => res.dhat.getOrElse(k, 1.0 - c))
-    bc.destroy()
-    Index(dhat, res.walkPairs, (System.nanoTime() - t0) / 1000000)
+    val rNode = nodePairs(graph.n, eps, alpha)
+    val tasks = (0 until graph.n).map(k => k -> rNode)
+    val res = DiagEstimator.localExploit(graph.spark, graph.csrBroadcast, tasks, c, seed, maxLevel = 0)
+    Index(res.dense(graph.csr, c), res.walkPairs, (System.nanoTime() - t0) / 1000000)
   }
 
   /** Query via eq. (5): for each level ℓ recompute `u_ℓ = P^ℓ e_i` from

@@ -23,9 +23,7 @@ object McSim {
 
   def buildIndex(graph: GraphData, c: Double, r: Int, seed: Long = 42): Index = {
     val t0 = System.nanoTime()
-    val spark = graph.spark
-    val bc = spark.sparkContext.broadcast(graph.csr)
-    val walks = Walks.walkIndex(spark, bc, graph.n, r, c, seed).cache()
+    val walks = Walks.walkIndex(graph.spark, graph.csrBroadcast, graph.n, r, c, seed).cache()
     val rows = walks.count()
     Index(walks, graph.n, r, rows, (System.nanoTime() - t0) / 1000000)
   }

@@ -68,16 +68,12 @@ object PrSim {
                  seed: Long = 42, engine: Option[LinEngine] = None,
                  precomputedPr: Option[Array[Double]] = None): Index = {
     val t0 = System.nanoTime()
-    val spark = graph.spark
-    val n = graph.n
     val pr = precomputedPr.getOrElse(globalPageRank(graph, c, Linearized.iterationsFor(c, eps), engine))
     var normSq = 0.0
     pr.foreach(p => normSq += p * p)
-    val bc = spark.sparkContext.broadcast(graph.csr)
-    val res = DiagEstimator.localExploit(spark, bc, indexTasks(pr, eps, alpha), c, seed, maxLevel = 0)
-    val dhat = Array.tabulate(n)(k => res.dhat.getOrElse(k, 1.0 - c))
-    bc.destroy()
-    Index(dhat, res.walkPairs, normSq, (System.nanoTime() - t0) / 1000000)
+    val res = DiagEstimator.localExploit(graph.spark, graph.csrBroadcast, indexTasks(pr, eps, alpha), c, seed,
+      maxLevel = 0)
+    Index(res.dense(graph.csr, c), res.walkPairs, normSq, (System.nanoTime() - t0) / 1000000)
   }
 
   def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double,

@@ -19,16 +19,26 @@ import scala.collection.mutable
   * `(k, k)`: Algorithm 2, where `D̂(k,k)` is the fraction of `R(k)` pairs that
   * never meet.
   *
-  * Both phases run as Spark jobs over the tasks `(k, R(k))` with a broadcast
-  * CSR (the paper's §3.2 parallelization): phase A as one edge-budgeted task
-  * per node (skipped, with no job, at zero levels), phase B chunked across
-  * the cluster by [[Walks.pairMeetCounts]], so a hub node with a huge `R(k)`
-  * cannot serialize onto one core.
+  * Both phases run over the tasks `(k, R(k))` with a broadcast CSR (the
+  * paper's §3.2 parallelization), each as one shuffle-free Spark pass: the
+  * driver-built task list is `parallelize`d into a Dataset, mapped, and
+  * collected. Phase A is one edge-budgeted task per node (skipped, with no
+  * job, at zero levels); phase B is chunked across the cluster by
+  * [[Walks.pairMeetCounts]], so a hub node with a huge `R(k)` cannot
+  * serialize onto one core. A call therefore launches at most two Spark jobs,
+  * and at most one at zero levels.
   */
 object DiagEstimator {
 
   /** Per-node estimate plus accounting used by benches. */
-  final case class DiagResult(dhat: Map[Int, Double], walkPairs: Long, edgesExplored: Long)
+  final case class DiagResult(dhat: Map[Int, Double], walkPairs: Long, edgesExplored: Long) {
+
+    /** D̂ as a length-n vector: the estimate of every task node, else the
+      * trivial value, else `1 − c`.
+      */
+    def dense(g: Csr, c: Double): Array[Double] =
+      Array.tabulate(g.n)(k => dhat.getOrElse(k, trivial(g, k, c).getOrElse(1.0 - c)))
+  }
 
   /** Per-node deterministic budget cap (edge traversals). The paper's budget
     * is `2R(k)/√c`, which for hub nodes at ε_min can reach 10⁸⁺ sequential
@@ -76,7 +86,7 @@ object DiagEstimator {
       if (maxLevel == 0) work.map { case (k, rk) => phaseARow(g, k, rk, c, 0) }.toArray
       else {
         val parts = math.min(512, math.max(spark.sparkContext.defaultParallelism, work.size / 64 + 1))
-        spark.createDataset(work).repartition(parts).mapPartitions { it =>
+        spark.createDataset(spark.sparkContext.parallelize(work, parts)).mapPartitions { it =>
           val graph = csr.value
           it.map { case (k, rk) => phaseARow(graph, k, rk, c, maxLevel) }
         }.collect()

@@ -30,7 +30,8 @@ final case class ExactSimConf(
     seed: Long = 42,
 ) {
   require(c > 0 && c < 1, "decay factor must be in (0,1)")
-  require(eps > 0, "eps must be positive")
+  require(eps > 0 && eps < 1, s"eps must be in (0,1), got $eps")
+  require(alpha > 0 && alpha < Double.PositiveInfinity, s"alpha must be positive and finite, got $alpha")
 
   def sqrtC: Double = math.sqrt(c)
 
@@ -97,7 +98,6 @@ object ExactSim {
   def singleSource(graph: GraphData, source: Int, conf: ExactSimConf,
                    engine: Option[LinEngine] = None): ExactSimResult = {
     Linearized.requireSource(source, graph.n)
-    val spark = graph.spark
     val t0 = System.nanoTime()
     val eng = engine.getOrElse(new LocalEngine(graph.csr))
     val fwd = Linearized.forward(eng, source, conf.c, conf.iterations, conf.truncationThreshold)
@@ -105,21 +105,11 @@ object ExactSim {
     val r = conf.totalSamples(graph.n)
     val tasks = allocate(fwd.pi, r, conf.piSquared)
 
-    val bc = spark.sparkContext.broadcast(graph.csr)
-    val diag = DiagEstimator.localExploit(spark, bc, tasks, conf.c, conf.seed,
+    val diag = DiagEstimator.localExploit(graph.spark, graph.csrBroadcast, tasks, conf.c, conf.seed,
       maxLevel = if (conf.localExploit) DiagEstimator.MaxLevel else 0)
 
-    val dhat = new Array[Double](graph.n)
-    var k = 0
-    while (k < graph.n) {
-      dhat(k) = diag.dhat.getOrElse(k,
-        DiagEstimator.trivial(graph.csr, k, conf.c).getOrElse(1.0 - conf.c))
-      k += 1
-    }
-
-    val scores = Linearized.backward(eng, fwd, dhat, conf.c)
+    val scores = Linearized.backward(eng, fwd, diag.dense(graph.csr, conf.c), conf.c)
     scores(source) = 1.0 // S(i,i) = 1 by definition
-    bc.destroy()
     ExactSimResult(scores, conf, diag.walkPairs, diag.edgesExplored,
       fwd.hopBytes, fwd.denseBytes, fwd.piNormSq,
       (System.nanoTime() - t0) / 1000000)

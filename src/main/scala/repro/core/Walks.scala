@@ -14,9 +14,10 @@ import repro.graph.Csr
   * Two Spark kernels: [[pairMeetCounts]], the one pair-walk kernel behind
   * every D̂ estimate, and [[walkIndex]], the MC baseline's walk index.
   * Work is sharded into chunks of at most [[ChunkSize]] samples and executed
-  * with `Dataset.mapPartitions` over a broadcast CSR; RNG streams are seeded
-  * per (node, chunk) so results are reproducible for a fixed seed regardless
-  * of partitioning.
+  * with `Dataset.mapPartitions` over a broadcast CSR (normally the graph's
+  * [[repro.graph.GraphData.csrBroadcast]]); RNG streams are seeded per
+  * (node, chunk) so results are reproducible for a fixed seed regardless of
+  * partitioning.
   */
 object Walks {
 
@@ -31,6 +32,10 @@ object Walks {
     * without meeting or dying and the subsequent √c-walks meet. The caller
     * scales by `c^prefixLen`; at prefix 0 the meet fraction's complement is
     * the Algorithm-2 estimate of D(k,k).
+    *
+    * The chunks are built on the driver and `parallelize`d into one Dataset
+    * (no shuffle); each chunk yields `(node, meets)`, and the driver sums the
+    * collected counts per node. `pairs` comes from the task list.
     */
   def pairMeetCounts(spark: SparkSession, csr: Broadcast[Csr],
                      tasks: Seq[(Int, Long, Int)], c: Double, seed: Long): Map[Int, MeetCount] = {
@@ -43,7 +48,7 @@ object Walks {
     }
     if (chunks.isEmpty) return Map.empty
     val parts = math.min(512, math.max(spark.sparkContext.defaultParallelism, chunks.size / 4 + 1))
-    val res = spark.createDataset(chunks).repartition(parts).mapPartitions { it =>
+    val chunkMeets = spark.createDataset(spark.sparkContext.parallelize(chunks, parts)).mapPartitions { it =>
       val g = csr.value
       val sqrtC = math.sqrt(c)
       it.map { case (node, pairs, prefix, chunk) =>
@@ -54,13 +59,12 @@ object Walks {
           if (simulateTailPairMeet(g, node, prefix, sqrtC, rng)) meets += 1
           r += 1
         }
-        (node, pairs, meets)
+        (node, meets)
       }
-    }.toDF("node", "pairs", "meets")
-      .groupBy("node")
-      .agg(org.apache.spark.sql.functions.sum("pairs").as("pairs"),
-           org.apache.spark.sql.functions.sum("meets").as("meets"))
-    res.collect().map(r => r.getInt(0) -> MeetCount(r.getInt(0), r.getLong(1), r.getLong(2))).toMap
+    }.collect()
+    val pairsOf = tasks.groupMapReduce(_._1)(_._2)(_ + _)
+    chunkMeets.groupMapReduce(_._1)(_._2)(_ + _)
+      .map { case (node, m) => node -> MeetCount(node, pairsOf(node), m) }
   }
 
   /** One Algorithm-3 tail sample from `k`: both walks take `prefix` forced

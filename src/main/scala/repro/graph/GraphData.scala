@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -14,7 +15,9 @@ import org.apache.spark.sql.functions._
   *    reverse transition matrix `P` (`P(i,j) = 1/d_in(j)` for `i∈I(j)`);
   *  - `csr`: a driver-side CSR of in-adjacency, for walk simulation and
   *    the default mat-vec engine (collected once; graphs here are ≤ a few M
-  *    edges).
+  *    edges);
+  *  - `csrBroadcast`: that CSR broadcast to the executors, once per graph,
+  *    for every walk job on it.
   */
 final class GraphData(val spark: SparkSession, val name: String, val n: Int, rawEdges: DataFrame) {
 
@@ -54,6 +57,12 @@ final class GraphData(val spark: SparkSession, val name: String, val n: Int, raw
       .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
     Csr.fromEdges(n, pairs.toIndexedSeq)
   }
+
+  /** The CSR as one broadcast shared by every D̂ estimate and walk index on
+    * this graph. It is never destroyed explicitly: Spark's ContextCleaner
+    * releases it once this `GraphData` is unreachable.
+    */
+  lazy val csrBroadcast: Broadcast[Csr] = spark.sparkContext.broadcast(csr)
 
   /** Approximate in-memory size of the edge list in bytes (two 4-byte ids per
     * directed edge) — the "Graph size" row of the paper's Table 3.

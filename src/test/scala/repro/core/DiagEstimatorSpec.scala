@@ -14,24 +14,20 @@ class DiagEstimatorSpec extends SimTestKit {
     test(s"basic (Algorithm 2) matches exact D on $name") {
       val g = battery.find(_.name == name).get
       val d = exactD(g)
-      val bc = spark.sparkContext.broadcast(g.csr)
       val tasks = (0 until g.n).map(k => k -> 30000L)
-      val res = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 21, maxLevel = 0)
+      val res = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 21, maxLevel = 0)
       assert(res.edgesExplored == 0L)
       (0 until g.n).foreach { k =>
         assert(math.abs(res.dhat(k) - d(k)) < 0.02,
           s"${g.name} D($k): ${res.dhat(k)} vs ${d(k)}")
       }
-      bc.destroy()
     }
 
   test("basic returns exact values for trivial nodes without sampling") {
-    val bc = spark.sparkContext.broadcast(pair.csr)
-    val res = DiagEstimator.localExploit(spark, bc, Seq(0 -> 10L, 1 -> 10L, 2 -> 10L), C, seed = 1,
+    val res = DiagEstimator.localExploit(spark, pair.csrBroadcast, Seq(0 -> 10L, 1 -> 10L, 2 -> 10L), C, seed = 1,
       maxLevel = 0)
     assert(res.dhat(2) == 1.0 && res.dhat(0) == 1.0 - C && res.dhat(1) == 1.0 - C)
     assert(res.walkPairs == 0L)
-    bc.destroy()
   }
 
   for (name <- Seq("star8", "complete5", "rnd40", "rnd60u"))
@@ -60,39 +56,33 @@ class DiagEstimatorSpec extends SimTestKit {
     // One node per call, each with its own seed: a single-task estimate of D(k,k).
     for (g <- Seq(star8, rnd40, rnd80)) {
       val d = exactD(g)
-      val bc = spark.sparkContext.broadcast(g.csr)
       val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).take(6)
       ks.foreach { k =>
-        val res = DiagEstimator.localExploit(spark, bc, Seq(k -> 20000L), C, seed = 77 + k)
+        val res = DiagEstimator.localExploit(spark, g.csrBroadcast, Seq(k -> 20000L), C, seed = 77 + k)
         assert(res.walkPairs == 20000L)
         assert(math.abs(res.dhat(k) - d(k)) < 0.02, s"${g.name} D($k): ${res.dhat(k)} vs ${d(k)}")
       }
-      bc.destroy()
     }
   }
 
   test("localExploit (distributed Algorithm 3) matches exact D") {
     for (g <- Seq(rnd60u, star8, rnd40, rnd80)) {
       val d = exactD(g)
-      val bc = spark.sparkContext.broadcast(g.csr)
       val tasks = (0 until g.n).map(k => k -> 20000L)
-      val res = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 31)
+      val res = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 31)
       (0 until g.n).foreach { k =>
         assert(math.abs(res.dhat(k) - d(k)) < 0.02, s"${g.name} D($k): ${res.dhat(k)} vs ${d(k)}")
       }
-      bc.destroy()
     }
   }
 
   test("localExploit reports deterministic edge exploration") {
     val g = rnd40
-    val bc = spark.sparkContext.broadcast(g.csr)
     val tasks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).map(k => k -> 1000L)
-    val a = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 5)
-    val b = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 5)
+    val a = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 5)
+    val b = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 5)
     assert(a.dhat == b.dhat)
     assert(a.edgesExplored == b.edgesExplored && a.edgesExplored > 0)
-    bc.destroy()
   }
 
   test("bigger budgets push more work into the deterministic part") {
@@ -111,26 +101,31 @@ class DiagEstimatorSpec extends SimTestKit {
     val g = rnd80
     val d = exactD(g)
     val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2)
-    val bc = spark.sparkContext.broadcast(g.csr)
     val tasks = ks.map(k => k -> 300L)
-    val alg2 = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 13, maxLevel = 0)
-    val alg3 = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 13)
+    val alg2 = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 13, maxLevel = 0)
+    val alg3 = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 13)
     def sse(m: Map[Int, Double]) = ks.map(k => math.pow(m(k) - d(k), 2)).sum
     assert(sse(alg3.dhat) < sse(alg2.dhat),
       s"alg3 sse ${sse(alg3.dhat)} should beat alg2 sse ${sse(alg2.dhat)}")
-    bc.destroy()
   }
 
   test("zero levels (Algorithm 2) skip phase A's Spark job") {
     val g = rnd80
-    val bc = spark.sparkContext.broadcast(g.csr)
     val tasks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).map(k => k -> 500L)
-    def run(maxLevel: Int) = DiagEstimator.localExploit(spark, bc, tasks, C, seed = 7, maxLevel = maxLevel)
+    def run(maxLevel: Int) =
+      DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 7, maxLevel = maxLevel)
     val jobsZero = jobsDuring(run(0))
     val jobsFull = jobsDuring(run(DiagEstimator.MaxLevel))
-    assert(jobsZero < jobsFull, s"zero levels: $jobsZero jobs, default levels: $jobsFull jobs")
+    // Each phase is one shuffle-free Spark job, and zero levels skip phase A.
+    assert(jobsZero <= 1 && jobsFull <= 2 && jobsZero < jobsFull,
+      s"zero levels: $jobsZero jobs, default levels: $jobsFull jobs")
     val zero = run(0)
     assert(zero.edgesExplored == 0L && zero.walkPairs == tasks.map(_._2).sum)
-    bc.destroy()
+  }
+
+  test("dense D̂: task estimates, else the trivial value, else 1 − c") {
+    // pair: nodes 0 and 1 have in-degree 1, node 2 has none; star8's center has in-degree 7.
+    assert(DiagEstimator.DiagResult(Map(1 -> 0.25), 0L, 0L).dense(pair.csr, C).toSeq == Seq(1.0 - C, 0.25, 1.0))
+    assert(DiagEstimator.DiagResult(Map.empty, 0L, 0L).dense(star8.csr, C)(0) == 1.0 - C)
   }
 }

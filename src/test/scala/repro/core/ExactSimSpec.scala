@@ -31,6 +31,11 @@ class ExactSimSpec extends SimTestKit {
   test("invalid configurations are rejected") {
     intercept[IllegalArgumentException](ExactSimConf(c = 1.2))
     intercept[IllegalArgumentException](ExactSimConf(eps = 0.0))
+    intercept[IllegalArgumentException](ExactSimConf(eps = 1.0))
+    intercept[IllegalArgumentException](ExactSimConf(eps = Double.PositiveInfinity))
+    intercept[IllegalArgumentException](ExactSimConf(eps = Double.NaN))
+    for (alpha <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity))
+      intercept[IllegalArgumentException](ExactSimConf(alpha = alpha))
   }
 
   test("allocation: proportional mode gives ⌈R·π(k)⌉ to every support node") {

@@ -11,50 +11,65 @@ class WalksSpec extends SimTestKit {
   test("pair-walks from the shared-parent sinks meet with probability c") {
     // From node 0 of `pair`, both walks step to node 2 iff both continue (c);
     // they then coincide ⇒ Pr[meet] = c exactly.
-    val bc = spark.sparkContext.broadcast(pair.csr)
-    val res = Walks.pairMeetCounts(spark, bc, Seq((0, 40000L, 0)), C, seed = 1)
+    val res = Walks.pairMeetCounts(spark, pair.csrBroadcast, Seq((0, 40000L, 0)), C, seed = 1)
     val frac = res(0).meets.toDouble / res(0).pairs
     assert(math.abs(frac - C) < 0.01, s"meet fraction $frac vs $C")
-    bc.destroy()
   }
 
   test("pair-walks on a cycle meet with probability c (deterministic movement)") {
-    val bc = spark.sparkContext.broadcast(cycle7.csr)
-    val res = Walks.pairMeetCounts(spark, bc, Seq((3, 40000L, 0)), C, seed = 2)
+    val res = Walks.pairMeetCounts(spark, cycle7.csrBroadcast, Seq((3, 40000L, 0)), C, seed = 2)
     val frac = res(3).meets.toDouble / res(3).pairs
     // Both walks move in lock-step; they "meet" at step 1 iff both continue.
     assert(math.abs(frac - C) < 0.01, s"meet fraction $frac vs $C")
-    bc.destroy()
   }
 
   test("meet fraction estimates 1 - D(k,k) on random graphs") {
     for (g <- Seq(rnd40, rnd60u)) {
       val d = exactD(g)
       val k = (0 until g.n).find(v => g.csr.inDeg(v) >= 2).get
-      val bc = spark.sparkContext.broadcast(g.csr)
-      val res = Walks.pairMeetCounts(spark, bc, Seq((k, 60000L, 0)), C, seed = 3)
+      val res = Walks.pairMeetCounts(spark, g.csrBroadcast, Seq((k, 60000L, 0)), C, seed = 3)
       val est = 1.0 - res(k).meets.toDouble / res(k).pairs
       assert(math.abs(est - d(k)) < 0.015, s"${g.name} node $k: $est vs ${d(k)}")
-      bc.destroy()
     }
   }
 
   test("task chunking preserves requested totals across many nodes") {
-    val bc = spark.sparkContext.broadcast(rnd40.csr)
     val tasks = Seq((0, 100L, 0), (1, 8192L, 0), (2, 8193L, 0), (3, 20000L, 0))
-    val res = Walks.pairMeetCounts(spark, bc, tasks, C, seed = 4)
+    val res = Walks.pairMeetCounts(spark, rnd40.csrBroadcast, tasks, C, seed = 4)
     tasks.foreach { case (k, r, _) => assert(res(k).pairs == r, s"node $k: ${res(k).pairs}") }
-    bc.destroy()
+  }
+
+  test("pairMeetCounts equals a serial loop over the same (node, chunk) streams") {
+    // The Spark pass must not depend on how chunks land in partitions: a
+    // driver loop over the same per-(node, chunk) RNG streams gives the same counts.
+    val g = rnd80
+    val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2)
+    val tasks = Seq((ks(0), 8193L, 0), (ks(1), 20000L, 2), (ks(2), 20000L, 0), (ks(3), 8193L, 2),
+      (ks(4), 5L, 2), (ks(5), 8192L, 0))
+    val seed = 17L
+    val res = Walks.pairMeetCounts(spark, g.csrBroadcast, tasks, C, seed)
+    assert(res.keySet == tasks.map(_._1).toSet)
+    tasks.foreach { case (k, pairs, prefix) =>
+      var meets = 0L
+      var chunk = 0
+      var done = 0L
+      while (done < pairs) {
+        val rng = new SplittableRandom(Walks.mix(seed, k, chunk))
+        val size = math.min(Walks.ChunkSize.toLong, pairs - done)
+        (0L until size).foreach { _ => if (Walks.simulateTailPairMeet(g.csr, k, prefix, sqrtC, rng)) meets += 1 }
+        done += size
+        chunk += 1
+      }
+      assert(res(k) == Walks.MeetCount(k, pairs, meets), s"node $k prefix $prefix")
+    }
   }
 
   test("pairMeetCounts is deterministic in the seed") {
-    val bc = spark.sparkContext.broadcast(rnd40.csr)
-    val a = Walks.pairMeetCounts(spark, bc, Seq((5, 5000L, 0)), C, seed = 99)(5).meets
-    val b = Walks.pairMeetCounts(spark, bc, Seq((5, 5000L, 0)), C, seed = 99)(5).meets
-    val c2 = Walks.pairMeetCounts(spark, bc, Seq((5, 5000L, 0)), C, seed = 100)(5).meets
+    val a = Walks.pairMeetCounts(spark, rnd40.csrBroadcast, Seq((5, 5000L, 0)), C, seed = 99)(5).meets
+    val b = Walks.pairMeetCounts(spark, rnd40.csrBroadcast, Seq((5, 5000L, 0)), C, seed = 99)(5).meets
+    val c2 = Walks.pairMeetCounts(spark, rnd40.csrBroadcast, Seq((5, 5000L, 0)), C, seed = 100)(5).meets
     assert(a == b)
     assert(a != c2, "different seeds should (overwhelmingly) differ")
-    bc.destroy()
   }
 
   test("a zero-prefix tail sample is simulatePairMeet from (k, k), draw for draw") {
@@ -78,21 +93,19 @@ class WalksSpec extends SimTestKit {
 
   test("walkIndex: every node has r step-0 rows at its own position") {
     val g = rnd40
-    val bc = spark.sparkContext.broadcast(g.csr)
-    val idx = Walks.walkIndex(spark, bc, g.n, 7, C, seed = 6).cache()
+    val idx = Walks.walkIndex(spark, g.csrBroadcast, g.n, 7, C, seed = 6).cache()
     val step0 = idx.where(col("step") === 0)
     assert(step0.count() == g.n * 7L)
     assert(step0.where(col("node") =!= col("pos")).count() == 0)
     // distinct walk ids per node = r
     val perNode = idx.select("node", "walk").distinct().groupBy("node").count().collect()
     perNode.foreach(r => assert(r.getLong(1) == 7L))
-    idx.unpersist(); bc.destroy()
+    idx.unpersist()
   }
 
   test("walkIndex: steps are contiguous and follow in-edges") {
     val g = rnd40
-    val bc = spark.sparkContext.broadcast(g.csr)
-    val idx = Walks.walkIndex(spark, bc, g.n, 3, C, seed = 8).cache()
+    val idx = Walks.walkIndex(spark, g.csrBroadcast, g.n, 3, C, seed = 8).cache()
     val traces = idx.collect().groupBy(r => (r.getLong(0), r.getInt(1)))
     traces.values.foreach { rows =>
       val byStep = rows.sortBy(_.getInt(2))
@@ -104,24 +117,21 @@ class WalksSpec extends SimTestKit {
         case _ =>
       }
     }
-    idx.unpersist(); bc.destroy()
+    idx.unpersist()
   }
 
   test("walkIndex mean trace length matches √c geometric stopping") {
     val g = cycle7 // no dead ends: length is purely geometric
-    val bc = spark.sparkContext.broadcast(g.csr)
-    val idx = Walks.walkIndex(spark, bc, g.n, 4000, C, seed = 9)
+    val idx = Walks.walkIndex(spark, g.csrBroadcast, g.n, 4000, C, seed = 9)
     val rows = idx.count().toDouble
     val walks = g.n * 4000.0
     val expected = 1.0 / (1.0 - sqrtC) // E[rows per walk] = Σ (√c)^t
     assert(math.abs(rows / walks - expected) < 0.05, s"${rows / walks} vs $expected")
-    bc.destroy()
   }
 
   test("MC meeting-count dataflow matches DuckDB") {
     val g = rnd40
-    val bc = spark.sparkContext.broadcast(g.csr)
-    val idx = Walks.walkIndex(spark, bc, g.n, 20, C, seed = 10).cache()
+    val idx = Walks.walkIndex(spark, g.csrBroadcast, g.n, 20, C, seed = 10).cache()
     val src = idx.where(col("node") === 1L).select("walk", "step", "pos")
     val sparkMeets = idx.join(src, Seq("walk", "step", "pos"))
       .select(col("node"), col("walk")).distinct()
@@ -132,7 +142,7 @@ class WalksSpec extends SimTestKit {
         |  ON w.walk = s.walk AND w.step = s.step AND w.pos = s.pos
         |GROUP BY w.node""".stripMargin,
       "w" -> idx)
-    idx.unpersist(); bc.destroy()
+    idx.unpersist()
   }
 
   test("seed mixing decorrelates task streams") {
