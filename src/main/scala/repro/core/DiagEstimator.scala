@@ -19,14 +19,21 @@ import scala.collection.mutable
   * `(k, k)`: Algorithm 2, where `D̂(k,k)` is the fraction of `R(k)` pairs that
   * never meet.
   *
-  * Both phases run over the tasks `(k, R(k))` with a broadcast CSR (the
-  * paper's §3.2 parallelization), each as one shuffle-free Spark pass: the
-  * driver-built task list is `parallelize`d into a Dataset, mapped, and
-  * collected. Phase A is one edge-budgeted task per node (skipped, with no
-  * job, at zero levels); phase B is chunked across the cluster by
-  * [[Walks.pairMeetCounts]], so a hub node with a huge `R(k)` cannot
-  * serialize onto one core. A call therefore launches at most two Spark jobs,
-  * and at most one at zero levels.
+  * Both phases run over the tasks `(k, R(k))` of the non-trivial nodes with
+  * the graph's CSR (the paper's §3.2 parallelization), on one of two
+  * backends ([[runsInProcess]]):
+  *  - in-process on the driver's fixed pool of `defaultParallelism` threads,
+  *    with no Spark job: always on a local master, and on a cluster up to
+  *    [[InProcessMaxPairs]] planned pairs `Σ R(k)`;
+  *  - otherwise each phase as one shuffle-free Spark pass: the driver-built
+  *    task list is `parallelize`d into a Dataset, mapped, and collected, over
+  *    the broadcast CSR. This path spreads walks over a cluster's executors.
+  * Phase A is one edge-budgeted task per node (skipped at zero levels);
+  * phase B is chunked by [[Walks.pairMeetCounts]], so a hub node with a huge
+  * `R(k)` cannot serialize onto one core. Both backends run the same chunks
+  * with the same per-(node, chunk) RNG streams and add integer meet counts,
+  * so D̂ is bit-identical either way. A call launches at most two Spark jobs,
+  * at most one at zero levels, and none in-process.
   */
 object DiagEstimator {
 
@@ -68,33 +75,62 @@ object DiagEstimator {
   /** Result of the deterministic phase for one node. */
   final case class Deterministic(zSum: Double, level: Int, edges: Long)
 
-  /** Algorithm 3 applied to every task node, distributed over Spark;
-    * `maxLevel = 0` gives Algorithm 2.
+  /** Planned pairs `Σ R(k)` up to which [[localExploit]] runs in-process on
+    * a cluster. One predicate covers both phases, since phase A's budget is
+    * at most `2R(k)/√c` edges per node. Timed on GQ-lite with each backend
+    * forced (CHANGES.md), the driver's pool finishes 200k pairs in less time
+    * than the Spark pass's two-job floor, so no executors could do better;
+    * from about 500k pairs on, it takes longer than that floor, and
+    * executors beyond the driver's cores can pay for their jobs.
+    */
+  val InProcessMaxPairs: Long = 200000L
+
+  /** Whether a D̂ of `pairs` planned pairs runs in-process. On a local master
+    * the executors are the driver's own cores, so the Spark pass could only
+    * add its job floor, and every D̂ runs in-process; elsewhere, up to
+    * [[InProcessMaxPairs]].
+    */
+  private[core] def runsInProcess(spark: SparkSession, pairs: Long): Boolean =
+    spark.sparkContext.isLocal || pairs <= InProcessMaxPairs
+
+  /** Algorithm 3 applied to every task node; `maxLevel = 0` gives
+    * Algorithm 2. Runs in-process or on Spark by [[runsInProcess]].
     */
   def localExploit(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
-                   c: Double, seed: Long, maxLevel: Int = MaxLevel): DiagResult = {
+                   c: Double, seed: Long, maxLevel: Int = MaxLevel): DiagResult =
+    localExploitOn(spark, csr, tasks, c, seed, maxLevel, inProcess = None)
+
+  /** [[localExploit]] with the backend forced when `inProcess` is set. */
+  private[core] def localExploitOn(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
+                                   c: Double, seed: Long, maxLevel: Int,
+                                   inProcess: Option[Boolean]): DiagResult = {
     import spark.implicits._
     val g = csr.value
     val (triv, work) = tasks.partition { case (k, _) => trivial(g, k, c).isDefined }
     val trivMap = triv.map { case (k, _) => k -> trivial(g, k, c).get }.toMap
     if (work.isEmpty) return DiagResult(trivMap, 0L, 0L)
+    val pairs = work.map(_._2).sum
+    val local = inProcess.getOrElse(runsInProcess(spark, pairs))
+    val sc = spark.sparkContext
 
     // Phase A: deterministic exploitation, one (budget-capped) task per node.
     // With zero levels every node's result is (zSum 0, level 0, edges 0), so
     // the rows are built on the driver and no Spark job runs.
     val detRows =
       if (maxLevel == 0) work.map { case (k, rk) => phaseARow(g, k, rk, c, 0) }.toArray
-      else {
-        val parts = math.min(512, math.max(spark.sparkContext.defaultParallelism, work.size / 64 + 1))
-        spark.createDataset(spark.sparkContext.parallelize(work, parts)).mapPartitions { it =>
+      else if (local) DriverPool.map(work.toIndexedSeq, sc.defaultParallelism) {
+        case (k, rk) => phaseARow(g, k, rk, c, maxLevel)
+      } else {
+        val parts = math.min(512, math.max(sc.defaultParallelism, work.size / 64 + 1))
+        spark.createDataset(sc.parallelize(work, parts)).mapPartitions { it =>
           val graph = csr.value
           it.map { case (k, rk) => phaseARow(graph, k, rk, c, maxLevel) }
         }.collect()
       }
 
-    // Phase B: tail sampling, chunked across the cluster.
+    // Phase B: tail sampling, in chunks.
     val tailTasks = detRows.map { case (k, rk, _, level, _) => (k, rk, level) }.toSeq
-    val tails = Walks.pairMeetCounts(spark, csr, tailTasks, c, seed)
+    val tails = Walks.pairMeetCountsOn(spark, csr, tailTasks, c, seed, local)
     val est = detRows.map { case (k, rk, zSum, level, _) =>
       val tail = tails.get(k) match {
         case Some(mc) if mc.pairs > 0 => math.pow(c, level) * mc.meets.toDouble / mc.pairs
@@ -102,7 +138,7 @@ object DiagEstimator {
       }
       k -> (1.0 - zSum - tail)
     }.toMap
-    DiagResult(trivMap ++ est, work.map(_._2).sum, detRows.map(_._5).sum)
+    DiagResult(trivMap ++ est, pairs, detRows.map(_._5).sum)
   }
 
   /** One phase-A row: (k, R(k), zSum, level, edges). */

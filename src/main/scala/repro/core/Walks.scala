@@ -5,19 +5,20 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Csr
 
-/** Distributed √c-walk simulation.
+/** √c-walk simulation, on Spark or on the driver.
   *
   * A √c-walk moves to a uniform random in-neighbor with probability √c and
   * stops otherwise; it also stops (forcedly) at a node with no in-neighbors.
   * Two walks *meet* if they are at the same node at the same step ≥ 1.
   *
-  * Two Spark kernels: [[pairMeetCounts]], the one pair-walk kernel behind
-  * every D̂ estimate, and [[walkIndex]], the MC baseline's walk index.
-  * Work is sharded into chunks of at most [[ChunkSize]] samples and executed
-  * with `Dataset.mapPartitions` over a broadcast CSR (normally the graph's
-  * [[repro.graph.GraphData.csrBroadcast]]); RNG streams are seeded per
-  * (node, chunk) so results are reproducible for a fixed seed regardless of
-  * partitioning.
+  * Two kernels: [[pairMeetCounts]], the one pair-walk kernel behind every D̂
+  * estimate, and [[walkIndex]], the MC baseline's walk index (a Spark pass).
+  * D̂ work is sharded into chunks of at most [[ChunkSize]] samples, which run
+  * either with `Dataset.mapPartitions` over a broadcast CSR (normally the
+  * graph's [[repro.graph.GraphData.csrBroadcast]]) or on the driver's thread
+  * pool over the same CSR. RNG streams are seeded per (node, chunk), so
+  * results are reproducible for a fixed seed regardless of partitioning and
+  * backend.
   */
 object Walks {
 
@@ -33,38 +34,72 @@ object Walks {
     * scales by `c^prefixLen`; at prefix 0 the meet fraction's complement is
     * the Algorithm-2 estimate of D(k,k).
     *
-    * The chunks are built on the driver and `parallelize`d into one Dataset
-    * (no shuffle); each chunk yields `(node, meets)`, and the driver sums the
-    * collected counts per node. `pairs` comes from the task list.
+    * The tasks are split into [[chunks]], each run by [[chunkMeets]], and the
+    * driver sums the per-chunk counts per node; `pairs` comes from the task
+    * list. The backend is [[DiagEstimator.runsInProcess]]'s choice for the
+    * planned pairs.
     */
-  def pairMeetCounts(spark: SparkSession, csr: Broadcast[Csr],
-                     tasks: Seq[(Int, Long, Int)], c: Double, seed: Long): Map[Int, MeetCount] = {
+  def pairMeetCounts(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long, Int)],
+                     c: Double, seed: Long): Map[Int, MeetCount] =
+    pairMeetCountsOn(spark, csr, tasks, c, seed,
+      DiagEstimator.runsInProcess(spark, tasks.iterator.map(_._2).sum))
+
+  /** [[pairMeetCounts]] on a given backend. In-process, the chunks run on the
+    * driver's pool of `defaultParallelism` threads and no Spark job starts.
+    * Otherwise they are `parallelize`d into one Dataset (no shuffle) in about
+    * one partition per `4·ChunkSize` planned pairs, at least
+    * `defaultParallelism` and at most 512. Both give the same counts.
+    */
+  private[core] def pairMeetCountsOn(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long, Int)],
+                                     c: Double, seed: Long, inProcess: Boolean): Map[Int, MeetCount] = {
     import spark.implicits._
-    val chunks = tasks.flatMap { case (node, pairs, prefix) =>
+    val todo = chunks(tasks)
+    if (todo.isEmpty) return Map.empty
+    val sqrtC = math.sqrt(c)
+    val sc = spark.sparkContext
+    val perChunk =
+      if (inProcess) {
+        val g = csr.value
+        DriverPool.map(todo, sc.defaultParallelism) { case (node, pairs, prefix, chunk) =>
+          (node, chunkMeets(g, node, pairs, prefix, chunk, sqrtC, seed))
+        }
+      } else {
+        val planned = tasks.iterator.map(_._2).sum
+        val parts = math.min(512L, math.max(sc.defaultParallelism.toLong, planned / (4L * ChunkSize) + 1)).toInt
+        spark.createDataset(sc.parallelize(todo, parts)).mapPartitions { it =>
+          val g = csr.value
+          it.map { case (node, pairs, prefix, chunk) => (node, chunkMeets(g, node, pairs, prefix, chunk, sqrtC, seed)) }
+        }.collect()
+      }
+    val pairsOf = tasks.groupMapReduce(_._1)(_._2)(_ + _)
+    perChunk.groupMapReduce(_._1)(_._2)(_ + _)
+      .map { case (node, m) => node -> MeetCount(node, pairsOf(node), m) }
+  }
+
+  /** A task list's chunks `(node, pairs, prefix, chunk)`: each task's pairs
+    * in runs of at most [[ChunkSize]], numbered from 0 within the task.
+    */
+  private def chunks(tasks: Seq[(Int, Long, Int)]): IndexedSeq[(Int, Long, Int, Int)] =
+    tasks.toIndexedSeq.flatMap { case (node, pairs, prefix) =>
       val full = (pairs / ChunkSize).toInt
       val rem = pairs - full.toLong * ChunkSize
       (0 until full).map(ci => (node, ChunkSize.toLong, prefix, ci)) ++
         (if (rem > 0) Seq((node, rem, prefix, full)) else Nil)
     }
-    if (chunks.isEmpty) return Map.empty
-    val parts = math.min(512, math.max(spark.sparkContext.defaultParallelism, chunks.size / 4 + 1))
-    val chunkMeets = spark.createDataset(spark.sparkContext.parallelize(chunks, parts)).mapPartitions { it =>
-      val g = csr.value
-      val sqrtC = math.sqrt(c)
-      it.map { case (node, pairs, prefix, chunk) =>
-        val rng = new SplittableRandom(mix(seed, node, chunk))
-        var meets = 0L
-        var r = 0L
-        while (r < pairs) {
-          if (simulateTailPairMeet(g, node, prefix, sqrtC, rng)) meets += 1
-          r += 1
-        }
-        (node, meets)
-      }
-    }.collect()
-    val pairsOf = tasks.groupMapReduce(_._1)(_._2)(_ + _)
-    chunkMeets.groupMapReduce(_._1)(_._2)(_ + _)
-      .map { case (node, m) => node -> MeetCount(node, pairsOf(node), m) }
+
+  /** Meets among one chunk's `pairs` tail samples from `node`, drawn from the
+    * chunk's own stream `mix(seed, node, chunk)`: the per-chunk loop of both
+    * backends of [[pairMeetCountsOn]].
+    */
+  private def chunkMeets(g: Csr, node: Int, pairs: Long, prefix: Int, chunk: Int, sqrtC: Double, seed: Long): Long = {
+    val rng = new SplittableRandom(mix(seed, node, chunk))
+    var meets = 0L
+    var r = 0L
+    while (r < pairs) {
+      if (simulateTailPairMeet(g, node, prefix, sqrtC, rng)) meets += 1
+      r += 1
+    }
+    meets
   }
 
   /** One Algorithm-3 tail sample from `k`: both walks take `prefix` forced

@@ -1,6 +1,10 @@
 package repro.core
 
 import repro.SimTestKit
+import repro.baselines.{Linearization, PrSim}
+import repro.eval.{Datasets, Harness}
+import repro.graph.GraphData
+import repro.linalg.LocalEngine
 
 class DiagEstimatorSpec extends SimTestKit {
 
@@ -112,8 +116,8 @@ class DiagEstimatorSpec extends SimTestKit {
   test("zero levels (Algorithm 2) skip phase A's Spark job") {
     val g = rnd80
     val tasks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).map(k => k -> 500L)
-    def run(maxLevel: Int) =
-      DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 7, maxLevel = maxLevel)
+    def run(maxLevel: Int) = // the Spark pass, forced: a local master runs D̂ in-process
+      DiagEstimator.localExploitOn(spark, g.csrBroadcast, tasks, C, seed = 7, maxLevel, inProcess = Some(false))
     val jobsZero = jobsDuring(run(0))
     val jobsFull = jobsDuring(run(DiagEstimator.MaxLevel))
     // Each phase is one shuffle-free Spark job, and zero levels skip phase A.
@@ -127,5 +131,34 @@ class DiagEstimatorSpec extends SimTestKit {
     // pair: nodes 0 and 1 have in-degree 1, node 2 has none; star8's center has in-degree 7.
     assert(DiagEstimator.DiagResult(Map(1 -> 0.25), 0L, 0L).dense(pair.csr, C).toSeq == Seq(1.0 - C, 0.25, 1.0))
     assert(DiagEstimator.DiagResult(Map.empty, 0L, 0L).dense(star8.csr, C)(0) == 1.0 - C)
+  }
+
+  test("in-process and Spark D̂ are bit-identical on query and index tasks") {
+    def bits(r: DiagEstimator.DiagResult) =
+      (r.dhat.map { case (k, v) => k -> java.lang.Double.doubleToRawLongBits(v) }, r.walkPairs, r.edgesExplored)
+    var biggest = 0L
+    def same(g: GraphData, what: String, tasks: Seq[(Int, Long)], maxLevel: Int, seed: Long): Unit = {
+      biggest = math.max(biggest, tasks.map(_._2).max)
+      def on(inProcess: Boolean) =
+        DiagEstimator.localExploitOn(spark, g.csrBroadcast, tasks, C, seed, maxLevel, Some(inProcess))
+      val (local, dist) = (on(true), on(false))
+      assert(bits(local) == bits(dist), s"${g.name} $what: backends differ")
+      assert(local.walkPairs == tasks.filter { case (k, _) => g.csr.inDeg(k) >= 2 }.map(_._2).sum)
+    }
+    val gq = Datasets.byKey("GQ-lite").generate(spark)
+    for ((g, alpha) <- battery.map(_ -> 20.0) :+ (gq -> 1.0)) {
+      for (conf <- Seq(ExactSimConf.basic(0.05, alpha, seed = 21), ExactSimConf.optimized(0.05, alpha, seed = 21));
+           source <- Harness.querySources(g, 2)) {
+        val fwd = Linearized.forward(new LocalEngine(g.csr), source, C, conf.iterations, conf.truncationThreshold)
+        val tasks = ExactSim.allocate(fwd.pi, conf.totalSamples(g.n), conf.piSquared)
+        same(g, s"source $source, localExploit=${conf.localExploit}", tasks,
+          if (conf.localExploit) DiagEstimator.MaxLevel else 0, conf.seed)
+      }
+      val rNode = Linearization.nodePairs(g.n, 0.3, 1.0)
+      same(g, "Linearization index", (0 until g.n).map(_ -> rNode), 0, 42)
+      val pr = PrSim.globalPageRank(g, C, Linearized.iterationsFor(C, 0.05))
+      same(g, "PRSim index", PrSim.indexTasks(pr, 0.05, 1.0), 0, 42)
+    }
+    assert(biggest > Walks.ChunkSize, "some task should span several chunks")
   }
 }

@@ -3,6 +3,7 @@ package repro.core
 import java.util.SplittableRandom
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SimTestKit}
+import repro.graph.GraphGen
 
 class WalksSpec extends SimTestKit {
 
@@ -40,16 +41,14 @@ class WalksSpec extends SimTestKit {
   }
 
   test("pairMeetCounts equals a serial loop over the same (node, chunk) streams") {
-    // The Spark pass must not depend on how chunks land in partitions: a
-    // driver loop over the same per-(node, chunk) RNG streams gives the same counts.
+    // Neither backend may depend on how chunks land in partitions or threads:
+    // a driver loop over the same per-(node, chunk) RNG streams gives the same counts.
     val g = rnd80
     val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2)
     val tasks = Seq((ks(0), 8193L, 0), (ks(1), 20000L, 2), (ks(2), 20000L, 0), (ks(3), 8193L, 2),
       (ks(4), 5L, 2), (ks(5), 8192L, 0))
     val seed = 17L
-    val res = Walks.pairMeetCounts(spark, g.csrBroadcast, tasks, C, seed)
-    assert(res.keySet == tasks.map(_._1).toSet)
-    tasks.foreach { case (k, pairs, prefix) =>
+    val serial = tasks.map { case (k, pairs, prefix) =>
       var meets = 0L
       var chunk = 0
       var done = 0L
@@ -60,8 +59,25 @@ class WalksSpec extends SimTestKit {
         done += size
         chunk += 1
       }
-      assert(res(k) == Walks.MeetCount(k, pairs, meets), s"node $k prefix $prefix")
-    }
+      k -> Walks.MeetCount(k, pairs, meets)
+    }.toMap
+    val sparkPass = Walks.pairMeetCountsOn(spark, g.csrBroadcast, tasks, C, seed, inProcess = false)
+    assert(sparkPass == serial, "Spark pass")
+    var inProcess = Map.empty[Int, Walks.MeetCount]
+    val jobs = jobsDuring { inProcess = Walks.pairMeetCountsOn(spark, g.csrBroadcast, tasks, C, seed, inProcess = true) }
+    assert(inProcess == serial, "in-process")
+    assert(jobs == 0, s"the in-process backend launched $jobs Spark jobs")
+  }
+
+  test("the Spark pass sizes partitions by planned pairs, not by chunk count") {
+    // 2,000 one-pair chunks are 2,000 pairs of work: one partition per core, not 501.
+    val g = GraphGen.localRandom(spark, "rnd2000", 2000, 6000, seed = 6)
+    val bc = g.csrBroadcast
+    val tasks = (0 until 2000).map(k => (k, 1L, 0))
+    var res = Map.empty[Int, Walks.MeetCount]
+    val sparkTasks = tasksDuring { res = Walks.pairMeetCountsOn(spark, bc, tasks, C, seed = 3, inProcess = false) }
+    assert(sparkTasks <= spark.sparkContext.defaultParallelism, s"$sparkTasks Spark tasks for 2,000 pairs")
+    assert(res.values.map(_.pairs).sum == 2000L)
   }
 
   test("pairMeetCounts is deterministic in the seed") {
