@@ -49,7 +49,7 @@ object DiagEstimator {
 
   /** Per-node deterministic budget cap (edge traversals). The paper's budget
     * is `2R(k)/√c`, which for hub nodes at ε_min can reach 10⁸⁺ sequential
-    * hash-map operations in one task; the cap bounds per-node latency while
+    * accumulator updates in one task; the cap bounds per-node latency while
     * keeping the estimator unbiased (the sampled tail covers whatever the
     * deterministic part did not), at the cost of a little extra variance on
     * those hubs (DESIGN.md, deviations).
@@ -152,41 +152,120 @@ object DiagEstimator {
     */
   private final class BudgetExceeded extends RuntimeException(null, null, false, false)
 
+  /** A sparse row over node ids: `vals(j)` is the entry of node `ids(j)`. */
+  private final class Row(val ids: Array[Int], val vals: Array[Double])
+
+  /** A dense accumulator over `0 until n` with a touched list: [[add]] is
+    * O(1), and [[drain]] returns the touched entries as a [[Row]] (in first-
+    * touch order) and clears exactly those, so reuse costs no length-n pass.
+    */
+  private final class Accumulator(n: Int) {
+    private val acc = new Array[Double](n)
+    private val mark = new Array[Boolean](n)
+    private val touched = new Array[Int](n)
+    private var size = 0
+
+    def add(i: Int, v: Double): Unit = {
+      if (!mark(i)) { mark(i) = true; touched(size) = i; size += 1 }
+      acc(i) += v
+    }
+
+    def drain(): Row = {
+      val ids = java.util.Arrays.copyOf(touched, size)
+      val vals = new Array[Double](size)
+      var j = 0
+      while (j < size) { vals(j) = acc(ids(j)); j += 1 }
+      clear()
+      new Row(ids, vals)
+    }
+
+    def clear(): Unit = {
+      var j = 0
+      while (j < size) { val i = touched(j); acc(i) = 0.0; mark(i) = false; j += 1 }
+      size = 0
+    }
+  }
+
+  /** Phase A's per-thread working set over `0 until n`: one accumulator for
+    * the `(Pᵀ)^ℓ(q,·)` expansion, one for `Z_ℓ(k,·)`, and the memo of each
+    * node's levels with the list of nodes it holds.
+    */
+  private final class Workspace(val n: Int) {
+    val dist = new Accumulator(n)
+    val z = new Accumulator(n)
+    val memo = new Array[mutable.ArrayBuffer[Row]](n)
+    val memoized = new Array[Int](n)
+    var memoSize = 0
+
+    def clear(): Unit = {
+      dist.clear(); z.clear()
+      var j = 0
+      while (j < memoSize) { memo(memoized(j)) = null; j += 1 }
+      memoSize = 0
+    }
+  }
+
+  private val workspaces = new ThreadLocal[Workspace]
+
+  /** This thread's workspace, replaced by a larger one when `n` outgrows it. */
+  private def workspaceFor(n: Int): Workspace = {
+    val s = workspaces.get
+    if (s != null && s.n >= n) s
+    else { val fresh = new Workspace(n); workspaces.set(fresh); fresh }
+  }
+
   /** The deterministic part of Algorithm 3 for one node: completed-level
     * first-meeting mass `Σ_{ℓ≤ℓ(k)} Z_ℓ(k)`, the reached level, and the edges
     * traversed. The edge `budget` (normally [[edgeBudget]]) is enforced at
     * edge granularity — mid-level overruns abort and discard that level.
+    * Each memoized level `(Pᵀ)^ℓ(q,·)` and each `Z_ℓ(k,·)` is a compact
+    * sparse row, built in a dense per-thread accumulator; `maxLevel = 0`
+    * returns at once.
     */
   def deterministicPhase(g: Csr, k: Int, budget: Long, c: Double, maxLevel: Int): Deterministic = {
+    if (maxLevel == 0) return Deterministic(0.0, 0, 0L)
+    val s = workspaceFor(g.n)
+    try levels(g, k, budget, c, maxLevel, s)
+    finally s.clear()
+  }
+
+  private def levels(g: Csr, k: Int, budget: Long, c: Double, maxLevel: Int, s: Workspace): Deterministic = {
     var edges = 0L
-    // Memoized non-stop transition distributions: dists(q)(ℓ) = (Pᵀ)^ℓ(q,·).
-    val dists = mutable.HashMap.empty[Int, mutable.ArrayBuffer[mutable.HashMap[Int, Double]]]
-    def distOf(q: Int, ell: Int): mutable.HashMap[Int, Double] = {
-      val levels = dists.getOrElseUpdate(q, mutable.ArrayBuffer(mutable.HashMap(q -> 1.0)))
+    // Memoized non-stop transition distributions: s.memo(q)(ℓ) = (Pᵀ)^ℓ(q,·).
+    def distOf(q: Int, ell: Int): Row = {
+      var levels = s.memo(q)
+      if (levels == null) {
+        levels = mutable.ArrayBuffer(new Row(Array(q), Array(1.0)))
+        s.memo(q) = levels
+        s.memoized(s.memoSize) = q
+        s.memoSize += 1
+      }
       while (levels.length <= ell) {
         val prev = levels.last
-        val next = mutable.HashMap.empty[Int, Double]
-        prev.foreach { case (x, p) =>
+        var j = 0
+        while (j < prev.ids.length) {
+          val x = prev.ids(j)
           val d = g.inDeg(x)
           if (d > 0) {
-            val w = p / d
+            val w = prev.vals(j) / d
             var i = g.inOff(x)
-            while (i < g.inOff(x + 1)) {
-              val nb = g.inAdj(i)
-              next.update(nb, next.getOrElse(nb, 0.0) + w)
+            val end = g.inOff(x + 1)
+            while (i < end) {
+              s.dist.add(g.inAdj(i), w)
               edges += 1
               if (edges > budget) throw new BudgetExceeded
               i += 1
             }
           }
+          j += 1
         }
-        levels += next
+        levels += s.dist.drain()
       }
       levels(ell)
     }
 
-    // First-meeting maps Z_ℓ(k,·) for completed levels ℓ = 1..ℓ(k).
-    val zMaps = mutable.ArrayBuffer.empty[mutable.HashMap[Int, Double]]
+    // First-meeting rows Z_ℓ(k,·) for completed levels ℓ = 1..ℓ(k).
+    val zRows = mutable.ArrayBuffer.empty[Row]
     var zSum = 0.0
     var completed = 0
     var exhausted = false
@@ -194,28 +273,32 @@ object DiagEstimator {
       val ell = completed + 1
       try {
         val wk = distOf(k, ell)
-        if (wk.isEmpty) {
+        if (wk.ids.isEmpty) {
           // No surviving ℓ-step paths ⇒ no meets at this or any deeper level.
           return Deterministic(zSum, maxLevel, edges)
         }
-        val z = mutable.HashMap.empty[Int, Double]
         val cl = math.pow(c, ell)
-        wk.foreach { case (q, p) => z(q) = cl * p * p }
+        var j = 0
+        while (j < wk.ids.length) { val p = wk.vals(j); s.z.add(wk.ids(j), cl * p * p); j += 1 }
         var lp = 1
         while (lp <= ell - 1) {
-          val zPrev = zMaps(ell - lp - 1) // Z_{ℓ−ℓ'}(k,·): maps are 1-indexed at idx-1
+          val zPrev = zRows(ell - lp - 1) // Z_{ℓ−ℓ'}(k,·): rows are 1-indexed at idx-1
           val clp = math.pow(c, lp)
-          zPrev.foreach { case (qp, zv) =>
+          var jp = 0
+          while (jp < zPrev.ids.length) {
+            val zv = zPrev.vals(jp)
             if (zv != 0.0) {
-              distOf(qp, lp).foreach { case (q, w) =>
-                z.update(q, z.getOrElse(q, 0.0) - clp * w * w * zv)
-              }
+              val dq = distOf(zPrev.ids(jp), lp)
+              var i = 0
+              while (i < dq.ids.length) { val w = dq.vals(i); s.z.add(dq.ids(i), -(clp * w * w * zv)); i += 1 }
             }
+            jp += 1
           }
           lp += 1
         }
-        zMaps += z
-        zSum += z.valuesIterator.sum
+        val z = s.z.drain()
+        zRows += z
+        zSum += z.vals.sum
         completed = ell
         if (edges >= budget) exhausted = true
       } catch {

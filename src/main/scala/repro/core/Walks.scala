@@ -10,6 +10,9 @@ import repro.graph.Csr
   * A √c-walk moves to a uniform random in-neighbor with probability √c and
   * stops otherwise; it also stops (forcedly) at a node with no in-neighbors.
   * Two walks *meet* if they are at the same node at the same step ≥ 1.
+  * A pair of walks can only meet while both go on, so the pair kernel draws
+  * one joint stop test per step (both continue with probability c) and both
+  * walks' in-neighbors from one `nextLong` ([[repro.graph.Csr.stepWith]]).
   *
   * Two kernels: [[pairMeetCounts]], the one pair-walk kernel behind every D̂
   * estimate, and [[walkIndex]], the MC baseline's walk index (a Spark pass).
@@ -55,20 +58,19 @@ object Walks {
     import spark.implicits._
     val todo = chunks(tasks)
     if (todo.isEmpty) return Map.empty
-    val sqrtC = math.sqrt(c)
     val sc = spark.sparkContext
     val perChunk =
       if (inProcess) {
         val g = csr.value
         DriverPool.map(todo, sc.defaultParallelism) { case (node, pairs, prefix, chunk) =>
-          (node, chunkMeets(g, node, pairs, prefix, chunk, sqrtC, seed))
+          (node, chunkMeets(g, node, pairs, prefix, chunk, c, seed))
         }
       } else {
         val planned = tasks.iterator.map(_._2).sum
         val parts = math.min(512L, math.max(sc.defaultParallelism.toLong, planned / (4L * ChunkSize) + 1)).toInt
         spark.createDataset(sc.parallelize(todo, parts)).mapPartitions { it =>
           val g = csr.value
-          it.map { case (node, pairs, prefix, chunk) => (node, chunkMeets(g, node, pairs, prefix, chunk, sqrtC, seed)) }
+          it.map { case (node, pairs, prefix, chunk) => (node, chunkMeets(g, node, pairs, prefix, chunk, c, seed)) }
         }.collect()
       }
     val pairsOf = tasks.groupMapReduce(_._1)(_._2)(_ + _)
@@ -91,12 +93,12 @@ object Walks {
     * chunk's own stream `mix(seed, node, chunk)`: the per-chunk loop of both
     * backends of [[pairMeetCountsOn]].
     */
-  private def chunkMeets(g: Csr, node: Int, pairs: Long, prefix: Int, chunk: Int, sqrtC: Double, seed: Long): Long = {
+  private def chunkMeets(g: Csr, node: Int, pairs: Long, prefix: Int, chunk: Int, c: Double, seed: Long): Long = {
     val rng = new SplittableRandom(mix(seed, node, chunk))
     var meets = 0L
     var r = 0L
     while (r < pairs) {
-      if (simulateTailPairMeet(g, node, prefix, sqrtC, rng)) meets += 1
+      if (simulateTailPairMeet(g, node, prefix, c, rng)) meets += 1
       r += 1
     }
     meets
@@ -106,33 +108,38 @@ object Walks {
     * steps; pairs that die or meet inside the prefix contribute no meet
     * (those meets are covered by the deterministic Z sums). Afterwards the
     * pair behaves as two plain √c-walks, so at prefix 0 this is
-    * `simulatePairMeet(g, k, k, …)` draw for draw.
+    * `simulatePairMeet(g, k, k, …)` draw for draw. Each forced step draws
+    * both walks' in-neighbors from one `nextLong`, as [[simulatePairMeet]]
+    * does.
     */
-  def simulateTailPairMeet(g: Csr, k: Int, prefix: Int, sqrtC: Double, rng: SplittableRandom): Boolean = {
+  def simulateTailPairMeet(g: Csr, k: Int, prefix: Int, c: Double, rng: SplittableRandom): Boolean = {
     var a = k
     var b = k
     var step = 0
     while (step < prefix) {
-      a = g.step(a, rng); b = g.step(b, rng)
+      val bits = rng.nextLong()
+      a = g.stepWith(a, (bits >>> 32).toInt, rng); b = g.stepWith(b, bits.toInt, rng)
       if (a < 0 || b < 0) return false // dead end inside the prefix
       if (a == b) return false         // met within ℓ(k): already accounted
       step += 1
     }
-    simulatePairMeet(g, a, b, sqrtC, rng)
+    simulatePairMeet(g, a, b, c, rng)
   }
 
   /** Simulate one pair of √c-walks from (a, b); true iff they meet at some
     * step ≥ 1 (the D(k,k) convention: coincidence at step 0 does not count).
+    * Each step is one joint stop test — both walks continue with probability
+    * `c = √c·√c`, and the pair cannot meet once either stops — then one
+    * `nextLong` whose high 32 bits move walk a and low 32 bits walk b.
     */
-  def simulatePairMeet(g: Csr, a0: Int, b0: Int, sqrtC: Double, rng: SplittableRandom): Boolean = {
+  def simulatePairMeet(g: Csr, a0: Int, b0: Int, c: Double, rng: SplittableRandom): Boolean = {
     var a = a0
     var b = b0
     while (true) {
-      // Both walks must elect to continue (√c each) for a future meet.
-      if (rng.nextDouble() >= sqrtC) return false
-      if (rng.nextDouble() >= sqrtC) return false
-      a = g.step(a, rng)
-      b = g.step(b, rng)
+      if (rng.nextDouble() >= c) return false
+      val bits = rng.nextLong()
+      a = g.stepWith(a, (bits >>> 32).toInt, rng)
+      b = g.stepWith(b, bits.toInt, rng)
       if (a < 0 || b < 0) return false // dead end: forced stop
       if (a == b) return true
     }

@@ -32,6 +32,15 @@ final class Csr(val n: Int, val inOff: Array[Int], val inAdj: Array[Int]) extend
     if (d == 0) -1 else inAdj(inOff(v) + rng.nextInt(d))
   }
 
+  /** One walk step from 32 given random `bits`: the in-neighbor of index
+    * [[Csr.below]]`(bits, d_in(v), rng)`, or -1 at a dead end (no draw used).
+    * Uniform like [[step]], but it lets two walks share one `nextLong`.
+    */
+  def stepWith(v: Int, bits: Int, rng: SplittableRandom): Int = {
+    val d = inDeg(v)
+    if (d == 0) -1 else inAdj(inOff(v) + Csr.below(bits, d, rng))
+  }
+
   /** `y = P·x` where `P(i,j) = 1/d_in(j)` for `i ∈ I(j)`:
     * mass at `j` spreads to each in-neighbor with weight `1/d_in(j)`.
     * This is one *forward* walk step on distributions.
@@ -87,6 +96,22 @@ final class Csr(val n: Int, val inOff: Array[Int], val inAdj: Array[Int]) extend
 }
 
 object Csr {
+
+  /** A uniform integer in `[0, d)` for `d ≥ 1`, from the 32 random `bits`
+    * (read unsigned): Lemire's multiply-shift with rejection (*Fast Random
+    * Integer Generation in an Interval*, ACM TOMACS 2019). The answer is the
+    * high word of `bits · d`; when the low word falls below `(2³² − d) mod d`
+    * the draw is rejected and redrawn from `rng.nextInt()`, which makes every
+    * value exactly equally likely. With `d` a power of two nothing is rejected.
+    */
+  def below(bits: Int, d: Int, rng: SplittableRandom): Int = {
+    var m = (bits & 0xffffffffL) * d
+    if ((m & 0xffffffffL) < d) {
+      val t = ((1L << 32) - d) % d
+      while ((m & 0xffffffffL) < t) m = (rng.nextInt() & 0xffffffffL) * d
+    }
+    (m >>> 32).toInt
+  }
 
   /** Build from directed edge pairs (src → dst); duplicates are kept as given
     * (callers dedupe upstream), self-loops rejected.

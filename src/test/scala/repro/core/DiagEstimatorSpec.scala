@@ -80,6 +80,30 @@ class DiagEstimatorSpec extends SimTestKit {
     }
   }
 
+  test("phase A on primitive arrays equals the hash-map reference node by node") {
+    // Every node at two query-sized budgets; on the battery also at the cap
+    // and unbounded to depth 25. GQ-lite's cap runs on its 16 largest
+    // in-degrees, the hubs the cap exists for: on all 2,000 nodes the boxed
+    // reference alone takes minutes.
+    val capped = Seq(DiagEstimator.edgeBudget(10L, C), DiagEstimator.edgeBudget(100000L, C))
+      .map(_ -> DiagEstimator.MaxLevel)
+    val deep = Seq(DiagEstimator.MaxEdgesPerNode -> DiagEstimator.MaxLevel, Long.MaxValue -> 25)
+    val gq = Datasets.byKey("GQ-lite").generate(spark)
+    val hubs = (0 until gq.n).sortBy(k => -gq.csr.inDeg(k)).take(16)
+    val cases =
+      (for (g <- battery; (budget, depth) <- capped ++ deep; k <- 0 until g.n) yield (g, k, budget, depth)) ++
+        (for ((budget, depth) <- capped; k <- 0 until gq.n) yield (gq, k, budget, depth)) ++
+        hubs.map(k => (gq, k, DiagEstimator.MaxEdgesPerNode, DiagEstimator.MaxLevel))
+    val diffs = DriverPool.map(cases.toIndexedSeq, spark.sparkContext.defaultParallelism) {
+      case (g, k, budget, depth) =>
+        val got = DiagEstimator.deterministicPhase(g.csr, k, budget, C, depth)
+        val want = ReferencePhaseA.deterministicPhase(g.csr, k, budget, C, depth)
+        val same = got.level == want.level && got.edges == want.edges && math.abs(got.zSum - want.zSum) <= 1e-15
+        if (same) None else Some(s"${g.name} node $k, budget $budget: $got vs $want")
+    }.flatten
+    if (diffs.nonEmpty) fail(s"${diffs.length} of ${cases.length} differ, first: ${diffs.take(3).mkString("; ")}")
+  }
+
   test("localExploit reports deterministic edge exploration") {
     val g = rnd40
     val tasks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).map(k => k -> 1000L)

@@ -34,6 +34,25 @@ class WalksSpec extends SimTestKit {
     }
   }
 
+  test("prefix-ℓ tail meets estimate the meet mass beyond level ℓ") {
+    // c^ℓ · Pr[meet after ℓ forced steps] = Σ_{ℓ'>ℓ} Z_ℓ'(k) = 1 − D(k,k) − Σ_{ℓ'≤ℓ} Z_ℓ'(k).
+    val prefix = 2
+    val pairs = 200000L
+    for (g <- Seq(rnd40, rnd60u)) {
+      val d = exactD(g)
+      val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).take(4)
+      val res = Walks.pairMeetCounts(spark, g.csrBroadcast, ks.map(k => (k, pairs, prefix)), C, seed = 23)
+      ks.foreach { k =>
+        val want = 1.0 - d(k) - ReferencePhaseA.deterministicPhase(g.csr, k, Long.MaxValue, C, prefix).zSum
+        val cl = math.pow(C, prefix)
+        val p = want / cl
+        val sigma = cl * math.sqrt(p * (1 - p) / pairs)
+        val got = cl * res(k).meets.toDouble / pairs
+        assert(math.abs(got - want) <= 5 * sigma + 1e-12, s"${g.name} node $k: $got vs $want (σ $sigma)")
+      }
+    }
+  }
+
   test("task chunking preserves requested totals across many nodes") {
     val tasks = Seq((0, 100L, 0), (1, 8192L, 0), (2, 8193L, 0), (3, 20000L, 0))
     val res = Walks.pairMeetCounts(spark, rnd40.csrBroadcast, tasks, C, seed = 4)
@@ -55,7 +74,7 @@ class WalksSpec extends SimTestKit {
       while (done < pairs) {
         val rng = new SplittableRandom(Walks.mix(seed, k, chunk))
         val size = math.min(Walks.ChunkSize.toLong, pairs - done)
-        (0L until size).foreach { _ => if (Walks.simulateTailPairMeet(g.csr, k, prefix, sqrtC, rng)) meets += 1 }
+        (0L until size).foreach { _ => if (Walks.simulateTailPairMeet(g.csr, k, prefix, C, rng)) meets += 1 }
         done += size
         chunk += 1
       }
@@ -93,8 +112,8 @@ class WalksSpec extends SimTestKit {
       val tail = new SplittableRandom(100 + k)
       val plain = new SplittableRandom(100 + k)
       (1 to 500).foreach { i =>
-        assert(Walks.simulateTailPairMeet(g.csr, k, 0, sqrtC, tail) ==
-          Walks.simulatePairMeet(g.csr, k, k, sqrtC, plain), s"${g.name} node $k draw $i")
+        assert(Walks.simulateTailPairMeet(g.csr, k, 0, C, tail) ==
+          Walks.simulatePairMeet(g.csr, k, k, C, plain), s"${g.name} node $k draw $i")
       }
       assert(tail.nextLong() == plain.nextLong(), s"${g.name} node $k: streams end in different states")
     }
@@ -103,7 +122,7 @@ class WalksSpec extends SimTestKit {
   test("simulatePairMeet from distinct cycle nodes never meets") {
     val rng = new SplittableRandom(5)
     (1 to 2000).foreach { _ =>
-      assert(!Walks.simulatePairMeet(cycle7.csr, 0, 3, sqrtC, rng))
+      assert(!Walks.simulatePairMeet(cycle7.csr, 0, 3, C, rng))
     }
   }
 

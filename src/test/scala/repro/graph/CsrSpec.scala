@@ -43,6 +43,36 @@ class CsrSpec extends SimTestKit {
     Seq(1, 2, 3).foreach(v => assert(math.abs(counts(v) - 10000) < 500, s"node $v: ${counts(v)}"))
   }
 
+  test("below rejects a low word under (2³² − d) mod d and redraws from nextInt") {
+    // bits = 0 gives low word 0 < (2³² − 3) mod 3 = 1: exactly one more nextInt.
+    val rng = new SplittableRandom(3)
+    val twin = new SplittableRandom(3)
+    val redraw = twin.nextInt()
+    assert(Csr.below(0, 3, rng) == (((redraw & 0xffffffffL) * 3) >>> 32).toInt)
+    assert(rng.nextLong() == twin.nextLong(), "d = 3, bits = 0 must consume exactly one nextInt")
+    // A power of two has (2³² − d) mod d = 0: no bits are rejected.
+    for (d <- Seq(1, 2, 8, 1 << 20, 1 << 30); bits <- Seq(0, 1, -1, Int.MinValue, 0x12345678)) {
+      val r = new SplittableRandom(4)
+      assert(Csr.below(bits, d, r) == (((bits & 0xffffffffL) * d) >>> 32).toInt)
+      assert(r.nextLong() == new SplittableRandom(4).nextLong(), s"d = $d, bits = $bits drew again")
+    }
+  }
+
+  test("below is uniform over [0, d) (chi-square)") {
+    val rng = new SplittableRandom(8)
+    for (d <- Seq(2, 3, 7, 1000)) {
+      val draws = math.max(60000, 200 * d)
+      val counts = new Array[Long](d)
+      (1 to draws).foreach(_ => counts(Csr.below(rng.nextInt(), d, rng)) += 1)
+      val expected = draws.toDouble / d
+      val chi2 = counts.map(o => (o - expected) * (o - expected) / expected).sum
+      // Wilson–Hilferty quantile of χ²(d − 1) at z = 4 (upper tail ≈ 3e-5).
+      val df = d - 1.0
+      val bound = df * math.pow(1 - 2 / (9 * df) + 4 * math.sqrt(2 / (9 * df)), 3)
+      assert(chi2 <= bound, s"d = $d: χ² = $chi2 > $bound")
+    }
+  }
+
   test("mulP preserves mass except at dead ends") {
     val x = new Array[Double](pair.n); x(0) = 0.5; x(1) = 0.5
     val y = pair.csr.mulP(x)
