@@ -28,12 +28,14 @@ import scala.collection.mutable
   *  - otherwise each phase as one shuffle-free Spark pass: the driver-built
   *    task list is `parallelize`d into a Dataset, mapped, and collected, over
   *    the broadcast CSR. This path spreads walks over a cluster's executors.
-  * Phase A is one edge-budgeted task per node (skipped at zero levels);
-  * phase B is chunked by [[Walks.pairMeetCounts]], so a hub node with a huge
-  * `R(k)` cannot serialize onto one core. Both backends run the same chunks
-  * with the same per-(node, chunk) RNG streams and add integer meet counts,
-  * so D̂ is bit-identical either way. A call launches at most two Spark jobs,
-  * at most one at zero levels, and none in-process.
+  * Phase A is one edge-budgeted task per node (skipped at zero levels).
+  * Phase B passes the tasks `(k, R(k), ℓ(k))` to [[Walks.pairMeetCounts]],
+  * which plans them into items, so a hub node with a huge `R(k)` cannot
+  * serialize onto one core, and draws each node's forced prefix in
+  * aggregate. Every backend and thread count runs the same items with the
+  * same per-(node, item) RNG streams and adds integer meet counts, so D̂ is
+  * bit-identical either way. A call launches at most two Spark jobs, at most
+  * one at zero levels, and none in-process.
   */
 object DiagEstimator {
 
@@ -100,10 +102,13 @@ object DiagEstimator {
                    c: Double, seed: Long, maxLevel: Int = MaxLevel): DiagResult =
     localExploitOn(spark, csr, tasks, c, seed, maxLevel, inProcess = None)
 
-  /** [[localExploit]] with the backend forced when `inProcess` is set. */
+  /** [[localExploit]] with the backend forced when `inProcess` is set, and
+    * the in-process pool's size when `threads` is (default
+    * `defaultParallelism`). Neither changes D̂.
+    */
   private[core] def localExploitOn(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
                                    c: Double, seed: Long, maxLevel: Int,
-                                   inProcess: Option[Boolean]): DiagResult = {
+                                   inProcess: Option[Boolean], threads: Option[Int] = None): DiagResult = {
     import spark.implicits._
     val g = csr.value
     val (triv, work) = tasks.partition { case (k, _) => trivial(g, k, c).isDefined }
@@ -112,13 +117,14 @@ object DiagEstimator {
     val pairs = work.map(_._2).sum
     val local = inProcess.getOrElse(runsInProcess(spark, pairs))
     val sc = spark.sparkContext
+    val poolSize = threads.getOrElse(sc.defaultParallelism)
 
     // Phase A: deterministic exploitation, one (budget-capped) task per node.
     // With zero levels every node's result is (zSum 0, level 0, edges 0), so
     // the rows are built on the driver and no Spark job runs.
     val detRows =
       if (maxLevel == 0) work.map { case (k, rk) => phaseARow(g, k, rk, c, 0) }.toArray
-      else if (local) DriverPool.map(work.toIndexedSeq, sc.defaultParallelism) {
+      else if (local) DriverPool.map(work.toIndexedSeq, poolSize) {
         case (k, rk) => phaseARow(g, k, rk, c, maxLevel)
       } else {
         val parts = math.min(512, math.max(sc.defaultParallelism, work.size / 64 + 1))
@@ -128,9 +134,9 @@ object DiagEstimator {
         }.collect()
       }
 
-    // Phase B: tail sampling, in chunks.
+    // Phase B: tail sampling, in items.
     val tailTasks = detRows.map { case (k, rk, _, level, _) => (k, rk, level) }.toSeq
-    val tails = Walks.pairMeetCountsOn(spark, csr, tailTasks, c, seed, local)
+    val tails = Walks.pairMeetCountsOn(spark, csr, tailTasks, c, seed, local, Some(poolSize))
     val est = detRows.map { case (k, rk, zSum, level, _) =>
       val tail = tails.get(k) match {
         case Some(mc) if mc.pairs > 0 => math.pow(c, level) * mc.meets.toDouble / mc.pairs
@@ -286,12 +292,12 @@ object DiagEstimator {
           val clp = math.pow(c, lp)
           var jp = 0
           while (jp < zPrev.ids.length) {
+            // Every touched entry is expanded, even one that cancelled to
+            // ±0.0, so the edges explored depend only on the graph.
             val zv = zPrev.vals(jp)
-            if (zv != 0.0) {
-              val dq = distOf(zPrev.ids(jp), lp)
-              var i = 0
-              while (i < dq.ids.length) { val w = dq.vals(i); s.z.add(dq.ids(i), -(clp * w * w * zv)); i += 1 }
-            }
+            val dq = distOf(zPrev.ids(jp), lp)
+            var i = 0
+            while (i < dq.ids.length) { val w = dq.vals(i); s.z.add(dq.ids(i), -(clp * w * w * zv)); i += 1 }
             jp += 1
           }
           lp += 1

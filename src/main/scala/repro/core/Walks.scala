@@ -5,6 +5,8 @@ import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Csr
 
+import scala.collection.mutable
+
 /** √c-walk simulation, on Spark or on the driver.
   *
   * A √c-walk moves to a uniform random in-neighbor with probability √c and
@@ -16,19 +18,38 @@ import repro.graph.Csr
   *
   * Two kernels: [[pairMeetCounts]], the one pair-walk kernel behind every D̂
   * estimate, and [[walkIndex]], the MC baseline's walk index (a Spark pass).
-  * D̂ work is sharded into chunks of at most [[ChunkSize]] samples, which run
-  * either with `Dataset.mapPartitions` over a broadcast CSR (normally the
-  * graph's [[repro.graph.GraphData.csrBroadcast]]) or on the driver's thread
-  * pool over the same CSR. RNG streams are seeded per (node, chunk), so
-  * results are reproducible for a fixed seed regardless of partitioning and
-  * backend.
+  * D̂ work is planned into [[Item]]s, which run either with
+  * `Dataset.mapPartitions` over a broadcast CSR (normally the graph's
+  * [[repro.graph.GraphData.csrBroadcast]]) or on the driver's thread pool over
+  * the same CSR. A task without a forced prefix is cut into chunks of at most
+  * [[ChunkSize]] pairs. The forced prefix of an Algorithm-3 task is drawn in
+  * aggregate: the pairs that stand on one state are split over its successor
+  * states in one exact draw ([[Splitter]]), and only the groups that splitting
+  * no longer pays for are walked pair by pair. RNG streams are seeded per
+  * (node, item), so results are reproducible for a fixed seed regardless of
+  * partitioning, thread count and backend.
   */
 object Walks {
 
   val ChunkSize = 8192
 
+  /** A group of `n` pairs on a state with `m` successor cells is split while
+    * `n ≥ MinPairsPerCell · m`; below that, walking each pair one step costs
+    * less than drawing its cell. Timed on gq-paper's three largest hub
+    * tasks, serially and on 4 threads, against 1/8 to 16 (CHANGES.md).
+    */
+  val MinPairsPerCell: Long = 4L
+
   /** Per-node totals of a D̂ sampling task: how many of `pairs` pair-walks met. */
   final case class MeetCount(node: Int, pairs: Long, meets: Long)
+
+  /** One unit of D̂ tail work: `pairs` samples of `node`'s task that stand on
+    * the state (a, b) after `depth` of the task's `prefix` forced steps, drawn
+    * from the stream `mix(seed, node, stream)`. A task without a forced
+    * prefix has one item per chunk, `(node, node, node, 0, 0, ≤ ChunkSize,
+    * chunk)`.
+    */
+  final case class Item(node: Int, a: Int, b: Int, depth: Int, prefix: Int, pairs: Long, stream: Int)
 
   /** D̂ tail sampling (Algorithm 3, and Algorithm 2 at prefix 0): input
     * (node, pairs, prefixLen); output per-node totals. A pair counts as a
@@ -37,8 +58,8 @@ object Walks {
     * scales by `c^prefixLen`; at prefix 0 the meet fraction's complement is
     * the Algorithm-2 estimate of D(k,k).
     *
-    * The tasks are split into [[chunks]], each run by [[chunkMeets]], and the
-    * driver sums the per-chunk counts per node; `pairs` comes from the task
+    * The tasks are planned into [[items]], each run by [[itemMeets]], and the
+    * driver sums the per-item counts per node; `pairs` comes from the task
     * list. The backend is [[DiagEstimator.runsInProcess]]'s choice for the
     * planned pairs.
     */
@@ -47,74 +68,204 @@ object Walks {
     pairMeetCountsOn(spark, csr, tasks, c, seed,
       DiagEstimator.runsInProcess(spark, tasks.iterator.map(_._2).sum))
 
-  /** [[pairMeetCounts]] on a given backend. In-process, the chunks run on the
-    * driver's pool of `defaultParallelism` threads and no Spark job starts.
-    * Otherwise they are `parallelize`d into one Dataset (no shuffle) in about
-    * one partition per `4·ChunkSize` planned pairs, at least
-    * `defaultParallelism` and at most 512. Both give the same counts.
+  /** [[pairMeetCounts]] on a given backend. In-process, the items run on the
+    * driver's pool of `threads` (default `defaultParallelism`) threads and no
+    * Spark job starts. Otherwise they are `parallelize`d into one Dataset (no
+    * shuffle) in about one partition per `4·ChunkSize` planned pairs, at
+    * least `defaultParallelism` and at most 512. All give the same counts.
     */
   private[core] def pairMeetCountsOn(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long, Int)],
-                                     c: Double, seed: Long, inProcess: Boolean): Map[Int, MeetCount] = {
+                                     c: Double, seed: Long, inProcess: Boolean,
+                                     threads: Option[Int] = None): Map[Int, MeetCount] = {
     import spark.implicits._
-    val todo = chunks(tasks)
+    val g = csr.value
+    val todo = items(g, tasks, seed)
     if (todo.isEmpty) return Map.empty
     val sc = spark.sparkContext
-    val perChunk =
-      if (inProcess) {
-        val g = csr.value
-        DriverPool.map(todo, sc.defaultParallelism) { case (node, pairs, prefix, chunk) =>
-          (node, chunkMeets(g, node, pairs, prefix, chunk, c, seed))
-        }
-      } else {
+    val perItem =
+      if (inProcess)
+        DriverPool.map(todo, threads.getOrElse(sc.defaultParallelism))(it => (it.node, itemMeets(g, it, c, seed)))
+      else {
         val planned = tasks.iterator.map(_._2).sum
         val parts = math.min(512L, math.max(sc.defaultParallelism.toLong, planned / (4L * ChunkSize) + 1)).toInt
         spark.createDataset(sc.parallelize(todo, parts)).mapPartitions { it =>
-          val g = csr.value
-          it.map { case (node, pairs, prefix, chunk) => (node, chunkMeets(g, node, pairs, prefix, chunk, c, seed)) }
+          val graph = csr.value
+          it.map(item => (item.node, itemMeets(graph, item, c, seed)))
         }.collect()
       }
     val pairsOf = tasks.groupMapReduce(_._1)(_._2)(_ + _)
-    perChunk.groupMapReduce(_._1)(_._2)(_ + _)
+    perItem.groupMapReduce(_._1)(_._2)(_ + _)
       .map { case (node, m) => node -> MeetCount(node, pairsOf(node), m) }
   }
 
-  /** A task list's chunks `(node, pairs, prefix, chunk)`: each task's pairs
-    * in runs of at most [[ChunkSize]], numbered from 0 within the task.
+  /** A task list's items, task by task, numbered from 0 within each task.
+    * A group of pairs on a state is split on the driver, with the task's
+    * planning stream `mix(seed, node, −1)`, while its prefix is not done and
+    * its cells would average at least [[ChunkSize]] pairs; every other group
+    * is cut into items of at most [[ChunkSize]] pairs. So a task at prefix 0
+    * gives exactly its chunks, and no hub lands on a single thread. A task
+    * that would need more than `Int.MaxValue` chunks is rejected before
+    * anything is drawn.
     */
-  private def chunks(tasks: Seq[(Int, Long, Int)]): IndexedSeq[(Int, Long, Int, Int)] =
+  private[core] def items(g: Csr, tasks: Seq[(Int, Long, Int)], seed: Long): IndexedSeq[Item] = {
+    tasks.foreach { case (node, pairs, _) =>
+      require((pairs - 1) / ChunkSize < Int.MaxValue,
+        s"node $node: R(k) = $pairs pairs need more than ${Int.MaxValue} chunks of $ChunkSize")
+    }
     tasks.toIndexedSeq.flatMap { case (node, pairs, prefix) =>
-      val full = (pairs / ChunkSize).toInt
-      val rem = pairs - full.toLong * ChunkSize
-      (0 until full).map(ci => (node, ChunkSize.toLong, prefix, ci)) ++
-        (if (rem > 0) Seq((node, rem, prefix, full)) else Nil)
+      val planner = new Planner(g, node, prefix, new SplittableRandom(mix(seed, node, -1)))
+      planner.land(node, node, 0, pairs)
+      planner.out
     }
-
-  /** Meets among one chunk's `pairs` tail samples from `node`, drawn from the
-    * chunk's own stream `mix(seed, node, chunk)`: the per-chunk loop of both
-    * backends of [[pairMeetCountsOn]].
-    */
-  private def chunkMeets(g: Csr, node: Int, pairs: Long, prefix: Int, chunk: Int, c: Double, seed: Long): Long = {
-    val rng = new SplittableRandom(mix(seed, node, chunk))
-    var meets = 0L
-    var r = 0L
-    while (r < pairs) {
-      if (simulateTailPairMeet(g, node, prefix, c, rng)) meets += 1
-      r += 1
-    }
-    meets
   }
 
-  /** One Algorithm-3 tail sample from `k`: both walks take `prefix` forced
-    * steps; pairs that die or meet inside the prefix contribute no meet
-    * (those meets are covered by the deterministic Z sums). Afterwards the
-    * pair behaves as two plain √c-walks, so at prefix 0 this is
-    * `simulatePairMeet(g, k, k, …)` draw for draw. Each forced step draws
-    * both walks' in-neighbors from one `nextLong`, as [[simulatePairMeet]]
-    * does.
+  /** Meets among one item's pairs, drawn from the item's own stream
+    * `mix(seed, node, stream)`: the per-item procedure of both backends of
+    * [[pairMeetCountsOn]] ([[ItemRun]]). At prefix 0 that is `pairs` calls of
+    * `simulatePairMeet(k, k)`.
     */
-  def simulateTailPairMeet(g: Csr, k: Int, prefix: Int, c: Double, rng: SplittableRandom): Boolean = {
-    var a = k
-    var b = k
+  private[core] def itemMeets(g: Csr, item: Item, c: Double, seed: Long): Long = {
+    val run = new ItemRun(g, item.prefix, c, new SplittableRandom(mix(seed, item.node, item.stream)))
+    run.land(item.a, item.b, item.depth, item.pairs)
+    run.meets
+  }
+
+  /** The cells `d_in(a)·d_in(b)` of a forced step from (a, b). */
+  private def cells(g: Csr, a: Int, b: Int): Long = g.inDeg(a).toLong * g.inDeg(b)
+
+  /** Whether `n` pairs on (a, b) are split rather than walked. */
+  private def splitPays(g: Csr, a: Int, b: Int, n: Long): Boolean = {
+    val m = cells(g, a, b)
+    m > 0 && m <= Int.MaxValue && n >= MinPairsPerCell * m
+  }
+
+  /** Draws one forced step for many pairs at once, exactly. Every pair on
+    * (a, b) moves to a uniform cell of `I(a)×I(b)`; the counts per cell are
+    * drawn by halving the cells' index range, `2^⌈log₂ m⌉` wide, where each
+    * half takes `Bin(x, ½)` of the range's `x` pairs ([[halfBinomial]]). The
+    * count that falls past the `m` real cells is split again from the full
+    * range (rejection), so every real cell is exactly equally likely, as in
+    * the per-pair step, and no floating-point sampler is involved. What
+    * becomes of the pairs on each successor is [[land]]'s business.
+    */
+  private[core] abstract class Splitter(g: Csr, rng: SplittableRandom) {
+    private var reservoir = 0L // `left` unused fair bits, in the low positions
+    private var left = 0
+
+    /** Takes `n` pairs that stand on (a, b) after `depth` forced steps. */
+    def land(a: Int, b: Int, depth: Int, n: Long): Unit
+
+    /** `k < 64` fair bits, from the reservoir, refilled from the stream. */
+    private def bits(k: Int): Long =
+      if (k <= left) {
+        val out = reservoir & ((1L << k) - 1)
+        reservoir >>>= k; left -= k
+        out
+      } else {
+        val low = reservoir
+        val have = left
+        reservoir = rng.nextLong(); left = 64
+        low | (bits(k - have) << have)
+      }
+
+    /** `Bin(n, ½)`: the ones among `n` fair bits, whole words straight from
+      * the stream and the rest from the reservoir.
+      */
+    def halfBinomial(n: Long): Long = {
+      var ones = 0L
+      var r = n
+      while (r >= 64) { ones += java.lang.Long.bitCount(rng.nextLong()); r -= 64 }
+      ones + java.lang.Long.bitCount(bits(r.toInt))
+    }
+
+    /** One forced step of `n` pairs from (a, b) at `depth`: [[land]]`(a′, b′,
+      * depth + 1, x)` for each cell, in cell order, that `x > 0` pairs land
+      * on, unless a′ = b′ (met inside the prefix) or either has no
+      * in-neighbor (dead end); neither can meet later, so they are dropped.
+      */
+    def split(a: Int, b: Int, depth: Int, n: Long): Unit = {
+      val m = cells(g, a, b)
+      val db = g.inDeg(b)
+      val offA = g.inOff(a)
+      val offB = g.inOff(b)
+      def put(cell: Long, x: Long): Unit = {
+        val i = cell.toInt
+        val a2 = g.inAdj(offA + i / db)
+        val b2 = g.inAdj(offB + i % db)
+        if (a2 != b2 && g.inDeg(a2) > 0 && g.inDeg(b2) > 0) land(a2, b2, depth + 1, x)
+      }
+      // Halve `x` pairs over cells [lo, lo + width); returns the count past m.
+      // A lone pair takes a uniform cell of the range from log₂(width) bits,
+      // which is what halving would give it.
+      def spread(lo: Long, width: Long, x: Long): Long =
+        if (x == 0) 0L
+        else if (lo >= m) x
+        else if (width == 1) { put(lo, x); 0L }
+        else if (x == 1) {
+          val cell = lo + bits(java.lang.Long.numberOfTrailingZeros(width))
+          if (cell >= m) 1L else { put(cell, 1L); 0L }
+        } else {
+          val low = halfBinomial(x)
+          val h = width >>> 1
+          spread(lo, h, low) + spread(lo + h, h, x - low)
+        }
+      if (m == 0) return // a dead end: every pair is dropped
+      val width = if (m == 1) 1L else java.lang.Long.highestOneBit(m - 1) << 1
+      var r = n
+      while (r > 0) r = spread(0L, width, r)
+    }
+  }
+
+  /** One item's work: while the forced prefix is not done and splitting
+    * pays, the pairs on a state are split over its successors; the rest
+    * walk one by one with [[simulateTailPairMeet]] from where they stand.
+    */
+  private final class ItemRun(g: Csr, prefix: Int, c: Double, rng: SplittableRandom) extends Splitter(g, rng) {
+    var meets = 0L
+
+    def land(a: Int, b: Int, depth: Int, n: Long): Unit =
+      if (depth < prefix && splitPays(g, a, b, n)) split(a, b, depth, n)
+      else {
+        var met = 0L
+        var r = 0L
+        while (r < n) {
+          if (simulateTailPairMeet(g, a, b, prefix - depth, c, rng)) met += 1
+          r += 1
+        }
+        meets += met
+      }
+  }
+
+  /** One task's item planning ([[items]]): splits while a group's cells
+    * would average a chunk, else cuts the group into chunk-sized items.
+    */
+  private final class Planner(g: Csr, node: Int, prefix: Int, rng: SplittableRandom) extends Splitter(g, rng) {
+    val out = mutable.ArrayBuffer.empty[Item]
+
+    def land(a: Int, b: Int, depth: Int, n: Long): Unit = {
+      if (depth < prefix && splitPays(g, a, b, n) && n / cells(g, a, b) >= ChunkSize) split(a, b, depth, n)
+      else {
+        var done = 0L
+        while (done < n) {
+          val p = math.min(ChunkSize.toLong, n - done)
+          out += Item(node, a, b, depth, prefix, p, out.size)
+          done += p
+        }
+      }
+    }
+  }
+
+  /** One Algorithm-3 tail sample from (a, b) with `prefix` forced steps to
+    * go: both walks take them; pairs that die or meet inside the prefix
+    * contribute no meet (those meets are covered by the deterministic Z
+    * sums). Afterwards the pair behaves as two plain √c-walks, so at prefix 0
+    * this is `simulatePairMeet(g, a, b, …)` draw for draw. Each forced step
+    * draws both walks' in-neighbors from one `nextLong`, as
+    * [[simulatePairMeet]] does.
+    */
+  def simulateTailPairMeet(g: Csr, a0: Int, b0: Int, prefix: Int, c: Double, rng: SplittableRandom): Boolean = {
+    var a = a0
+    var b = b0
     var step = 0
     while (step < prefix) {
       val bits = rng.nextLong()

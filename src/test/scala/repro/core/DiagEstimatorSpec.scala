@@ -8,6 +8,9 @@ import repro.linalg.LocalEngine
 
 class DiagEstimatorSpec extends SimTestKit {
 
+  private def bits(r: DiagEstimator.DiagResult) =
+    (r.dhat.map { case (k, v) => k -> java.lang.Double.doubleToRawLongBits(v) }, r.walkPairs, r.edgesExplored)
+
   test("trivial cases: in-degree 0 → 1, in-degree 1 → 1−c") {
     assert(DiagEstimator.trivial(pair.csr, 2, C).contains(1.0))
     assert(DiagEstimator.trivial(pair.csr, 0, C).contains(1.0 - C))
@@ -104,6 +107,40 @@ class DiagEstimatorSpec extends SimTestKit {
     if (diffs.nonEmpty) fail(s"${diffs.length} of ${cases.length} differ, first: ${diffs.take(3).mkString("; ")}")
   }
 
+  test("phase A's level and edges do not depend on the order of Z's additions") {
+    // The reference in hash-layout order against insertion order, on the
+    // cases where skipping a Z entry that cancelled to 0.0 made them differ.
+    val gq = Datasets.byKey("GQ-lite").generate(spark)
+    val cases =
+      (for (g <- Seq(rnd60u, rnd80); k <- 0 until g.n) yield (g, k, Long.MaxValue, 25)) ++
+        (0 until gq.n).map(k => (gq, k, DiagEstimator.edgeBudget(100000L, C), DiagEstimator.MaxLevel))
+    val diffs = DriverPool.map(cases.toIndexedSeq, spark.sparkContext.defaultParallelism) {
+      case (g, k, budget, depth) =>
+        val hashed = ReferencePhaseA.deterministicPhase(g.csr, k, budget, C, depth, insertionOrder = false)
+        val linked = ReferencePhaseA.deterministicPhase(g.csr, k, budget, C, depth)
+        if (hashed.level == linked.level && hashed.edges == linked.edges) None
+        else Some(s"${g.name} node $k, budget $budget: $hashed vs $linked")
+    }.flatten
+    if (diffs.nonEmpty) fail(s"${diffs.length} of ${cases.length} differ, first: ${diffs.take(3).mkString("; ")}")
+  }
+
+  test("D̂ is bit-identical on one thread, on defaultParallelism threads and on the Spark pass") {
+    // Optimized query tasks large enough that their forced prefixes are split.
+    val gq = Datasets.byKey("GQ-lite").generate(spark)
+    val conf = ExactSimConf.optimized(0.05, 400.0, seed = 21)
+    for (source <- Harness.querySources(gq, 2)) {
+      val fwd = Linearized.forward(new LocalEngine(gq.csr), source, C, conf.iterations, conf.truncationThreshold)
+      val tasks = ExactSim.allocate(fwd.pi, conf.totalSamples(gq.n), conf.piSquared)
+      assert(tasks.map(_._2).max >= 100000L, s"source $source: no task reaches 1e5 pairs")
+      def on(inProcess: Boolean, threads: Option[Int]) =
+        DiagEstimator.localExploitOn(spark, gq.csrBroadcast, tasks, C, conf.seed, DiagEstimator.MaxLevel,
+          Some(inProcess), threads)
+      val one = bits(on(inProcess = true, Some(1)))
+      assert(one == bits(on(inProcess = true, None)), s"source $source: 1 thread vs defaultParallelism")
+      assert(one == bits(on(inProcess = false, None)), s"source $source: 1 thread vs the Spark pass")
+    }
+  }
+
   test("localExploit reports deterministic edge exploration") {
     val g = rnd40
     val tasks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).map(k => k -> 1000L)
@@ -158,8 +195,6 @@ class DiagEstimatorSpec extends SimTestKit {
   }
 
   test("in-process and Spark D̂ are bit-identical on query and index tasks") {
-    def bits(r: DiagEstimator.DiagResult) =
-      (r.dhat.map { case (k, v) => k -> java.lang.Double.doubleToRawLongBits(v) }, r.walkPairs, r.edgesExplored)
     var biggest = 0L
     def same(g: GraphData, what: String, tasks: Seq[(Int, Long)], maxLevel: Int, seed: Long): Unit = {
       biggest = math.max(biggest, tasks.map(_._2).max)

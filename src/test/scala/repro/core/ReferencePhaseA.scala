@@ -11,26 +11,29 @@ import scala.collection.mutable
   * same edge counting, same budget check at edge granularity, and the same
   * rule that an aborted level is discarded.
   *
-  * The maps are `LinkedHashMap`s, which iterate in insertion order, the
-  * order in which the array version first touches each node. The first
-  * implementation used `HashMap`, whose order follows its hash layout. The
-  * order matters beyond rounding: a `Z` entry that cancels to exactly 0.0 is
-  * not expanded, and whether it cancels exactly depends on the order of the
-  * additions, so `edges` (and at a budget boundary `level`) could differ.
+  * By default the maps are `LinkedHashMap`s, which iterate in insertion
+  * order, the order in which the array version first touches each node, so
+  * zSum matches it bit for bit; with `insertionOrder = false` they are
+  * `HashMap`s, as in the first implementation, whose order follows the hash
+  * layout. Every touched `Z` entry is expanded, also one that cancelled to
+  * ±0.0, so `level` and `edges` are the same in either order.
   */
 object ReferencePhaseA {
 
   private final class BudgetExceeded extends RuntimeException(null, null, false, false)
 
-  def deterministicPhase(g: Csr, k: Int, budget: Long, c: Double, maxLevel: Int): Deterministic = {
+  def deterministicPhase(g: Csr, k: Int, budget: Long, c: Double, maxLevel: Int,
+                         insertionOrder: Boolean = true): Deterministic = {
+    def newMap(): mutable.Map[Int, Double] =
+      if (insertionOrder) mutable.LinkedHashMap.empty else mutable.HashMap.empty
     var edges = 0L
     // Memoized non-stop transition distributions: dists(q)(ℓ) = (Pᵀ)^ℓ(q,·).
-    val dists = mutable.HashMap.empty[Int, mutable.ArrayBuffer[mutable.LinkedHashMap[Int, Double]]]
-    def distOf(q: Int, ell: Int): mutable.LinkedHashMap[Int, Double] = {
-      val levels = dists.getOrElseUpdate(q, mutable.ArrayBuffer(mutable.LinkedHashMap(q -> 1.0)))
+    val dists = mutable.HashMap.empty[Int, mutable.ArrayBuffer[mutable.Map[Int, Double]]]
+    def distOf(q: Int, ell: Int): mutable.Map[Int, Double] = {
+      val levels = dists.getOrElseUpdate(q, mutable.ArrayBuffer(newMap() += q -> 1.0))
       while (levels.length <= ell) {
         val prev = levels.last
-        val next = mutable.LinkedHashMap.empty[Int, Double]
+        val next = newMap()
         prev.foreach { case (x, p) =>
           val d = g.inDeg(x)
           if (d > 0) {
@@ -51,7 +54,7 @@ object ReferencePhaseA {
     }
 
     // First-meeting maps Z_ℓ(k,·) for completed levels ℓ = 1..ℓ(k).
-    val zMaps = mutable.ArrayBuffer.empty[mutable.LinkedHashMap[Int, Double]]
+    val zMaps = mutable.ArrayBuffer.empty[mutable.Map[Int, Double]]
     var zSum = 0.0
     var completed = 0
     var exhausted = false
@@ -63,7 +66,7 @@ object ReferencePhaseA {
           // No surviving ℓ-step paths ⇒ no meets at this or any deeper level.
           return Deterministic(zSum, maxLevel, edges)
         }
-        val z = mutable.LinkedHashMap.empty[Int, Double]
+        val z = newMap()
         val cl = math.pow(c, ell)
         wk.foreach { case (q, p) => z(q) = cl * p * p }
         var lp = 1
@@ -71,10 +74,8 @@ object ReferencePhaseA {
           val zPrev = zMaps(ell - lp - 1) // Z_{ℓ−ℓ'}(k,·): maps are 1-indexed at idx-1
           val clp = math.pow(c, lp)
           zPrev.foreach { case (qp, zv) =>
-            if (zv != 0.0) {
-              distOf(qp, lp).foreach { case (q, w) =>
-                z.update(q, z.getOrElse(q, 0.0) - clp * w * w * zv)
-              }
+            distOf(qp, lp).foreach { case (q, w) =>
+              z.update(q, z.getOrElse(q, 0.0) - clp * w * w * zv)
             }
           }
           lp += 1

@@ -2,8 +2,9 @@ package repro.core
 
 import java.util.SplittableRandom
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, SimTestKit}
-import repro.graph.GraphGen
+import repro.graph.{Csr, GraphGen}
 
 class WalksSpec extends SimTestKit {
 
@@ -36,19 +37,20 @@ class WalksSpec extends SimTestKit {
 
   test("prefix-ℓ tail meets estimate the meet mass beyond level ℓ") {
     // c^ℓ · Pr[meet after ℓ forced steps] = Σ_{ℓ'>ℓ} Z_ℓ'(k) = 1 − D(k,k) − Σ_{ℓ'≤ℓ} Z_ℓ'(k).
-    val prefix = 2
-    val pairs = 200000L
-    for (g <- Seq(rnd40, rnd60u)) {
+    // At prefix 3 the tasks are large enough to be split on the driver and in their items.
+    for ((prefix, pairs) <- Seq(2 -> 200000L, 3 -> 1000000L); g <- Seq(rnd40, rnd60u)) {
       val d = exactD(g)
       val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).take(4)
-      val res = Walks.pairMeetCounts(spark, g.csrBroadcast, ks.map(k => (k, pairs, prefix)), C, seed = 23)
+      val tasks = ks.map(k => (k, pairs, prefix))
+      if (prefix == 3) assert(Walks.items(g.csr, tasks, 23).exists(_.depth > 0), s"${g.name}: nothing was split")
+      val res = Walks.pairMeetCounts(spark, g.csrBroadcast, tasks, C, seed = 23)
       ks.foreach { k =>
         val want = 1.0 - d(k) - ReferencePhaseA.deterministicPhase(g.csr, k, Long.MaxValue, C, prefix).zSum
         val cl = math.pow(C, prefix)
         val p = want / cl
         val sigma = cl * math.sqrt(p * (1 - p) / pairs)
         val got = cl * res(k).meets.toDouble / pairs
-        assert(math.abs(got - want) <= 5 * sigma + 1e-12, s"${g.name} node $k: $got vs $want (σ $sigma)")
+        assert(math.abs(got - want) <= 5 * sigma + 1e-12, s"${g.name} node $k prefix $prefix: $got vs $want (σ $sigma)")
       }
     }
   }
@@ -60,25 +62,33 @@ class WalksSpec extends SimTestKit {
   }
 
   test("pairMeetCounts equals a serial loop over the same (node, chunk) streams") {
-    // Neither backend may depend on how chunks land in partitions or threads:
-    // a driver loop over the same per-(node, chunk) RNG streams gives the same counts.
+    // Neither backend may depend on how items land in partitions or threads:
+    // a serial driver run of the per-item procedure over the same per-(node,
+    // item) RNG streams gives the same counts. A task at prefix 0 is still its
+    // chunks, each a loop of pair-walks from (k, k) on its own stream.
     val g = rnd80
     val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2)
     val tasks = Seq((ks(0), 8193L, 0), (ks(1), 20000L, 2), (ks(2), 20000L, 0), (ks(3), 8193L, 2),
-      (ks(4), 5L, 2), (ks(5), 8192L, 0))
+      (ks(4), 5L, 2), (ks(5), 8192L, 0), (ks(6), 400000L, 3))
     val seed = 17L
+    val items = Walks.items(g.csr, tasks, seed)
+    assert(items.exists(_.depth > 0), "the large task should be split on the driver")
+    val perItem = items.map(it => it.node -> Walks.itemMeets(g.csr, it, C, seed)).groupMapReduce(_._1)(_._2)(_ + _)
     val serial = tasks.map { case (k, pairs, prefix) =>
-      var meets = 0L
-      var chunk = 0
-      var done = 0L
-      while (done < pairs) {
-        val rng = new SplittableRandom(Walks.mix(seed, k, chunk))
-        val size = math.min(Walks.ChunkSize.toLong, pairs - done)
-        (0L until size).foreach { _ => if (Walks.simulateTailPairMeet(g.csr, k, prefix, C, rng)) meets += 1 }
-        done += size
-        chunk += 1
+      if (prefix == 0) {
+        var meets = 0L
+        var chunk = 0
+        var done = 0L
+        while (done < pairs) {
+          val rng = new SplittableRandom(Walks.mix(seed, k, chunk))
+          val size = math.min(Walks.ChunkSize.toLong, pairs - done)
+          (0L until size).foreach { _ => if (Walks.simulateTailPairMeet(g.csr, k, k, 0, C, rng)) meets += 1 }
+          done += size
+          chunk += 1
+        }
+        assert(perItem(k) == meets, s"node $k: prefix-0 items are not its chunks")
       }
-      k -> Walks.MeetCount(k, pairs, meets)
+      k -> Walks.MeetCount(k, pairs, perItem(k))
     }.toMap
     val sparkPass = Walks.pairMeetCountsOn(spark, g.csrBroadcast, tasks, C, seed, inProcess = false)
     assert(sparkPass == serial, "Spark pass")
@@ -86,6 +96,98 @@ class WalksSpec extends SimTestKit {
     val jobs = jobsDuring { inProcess = Walks.pairMeetCountsOn(spark, g.csrBroadcast, tasks, C, seed, inProcess = true) }
     assert(inProcess == serial, "in-process")
     assert(jobs == 0, s"the in-process backend launched $jobs Spark jobs")
+  }
+
+  test("a task of more than Int.MaxValue chunks fails before any walk is drawn") {
+    val hub = (0 until rnd40.n).maxBy(rnd40.csr.inDeg)
+    val tasks = Seq((0, 1000L, 0), (hub, 1L << 45, 2))
+    for (inProcess <- Seq(true, false)) {
+      var e: IllegalArgumentException = null
+      val jobs = jobsDuring {
+        e = intercept[IllegalArgumentException](
+          Walks.pairMeetCountsOn(spark, rnd40.csrBroadcast, tasks, C, seed = 1, inProcess))
+      }
+      assert(e.getMessage.contains(s"node $hub") && e.getMessage.contains((1L << 45).toString), e.getMessage)
+      assert(jobs == 0, s"$jobs Spark jobs started")
+    }
+  }
+
+  /** `I(0) × I(1)` of this graph are `da × db` distinct live nodes, so no cell is dropped. */
+  private def grid(da: Int, db: Int): Csr = {
+    val as = 2 until da + 2
+    val bs = da + 2 until da + db + 2
+    Csr.fromEdges(da + db + 2, as.map(_ -> 0) ++ bs.map(_ -> 1) ++ (as ++ bs).map(0 -> _))
+  }
+
+  /** Per-cell counts of one split of `n` pairs from (0, 1) of `grid(da, db)`. */
+  private def splitCounts(g: Csr, da: Int, db: Int, n: Long, rng: SplittableRandom): Array[Long] = {
+    val counts = new Array[Long](da * db)
+    val s = new Walks.Splitter(g, rng) {
+      def land(a: Int, b: Int, depth: Int, x: Long): Unit = {
+        assert(depth == 1 && x > 0)
+        counts((a - 2) * db + (b - da - 2)) += x
+      }
+    }
+    s.split(0, 1, 0, n)
+    counts
+  }
+
+  test("the splitter puts pairs on every cell equally likely (chi-square)") {
+    val rng = new SplittableRandom(12)
+    for ((da, db) <- Seq(1 -> 1, 2 -> 1, 3 -> 1, 7 -> 1, 4 -> 4, 20 -> 20)) {
+      val m = da * db
+      val g = grid(da, db)
+      // Group sizes that take every path: lone pairs, reservoir bits, whole words.
+      val sizes = Seq(1L, 2L, 5L, 63L, 64L, 65L, 1000L, 100000L)
+      val counts = new Array[Long](m)
+      var total = 0L
+      while (total < math.max(400000L, 400L * m)) {
+        sizes.foreach { n =>
+          splitCounts(g, da, db, n, rng).zipWithIndex.foreach { case (x, i) => counts(i) += x }
+          total += n
+        }
+      }
+      assert(counts.sum == total, s"m = $m: ${counts.sum} pairs landed of $total")
+      if (m > 1) {
+        val expected = total.toDouble / m
+        val chi2 = counts.map(o => (o - expected) * (o - expected) / expected).sum
+        // Wilson–Hilferty quantile of χ²(m − 1) at z = 4 (upper tail ≈ 3e-5).
+        val df = m - 1.0
+        val bound = df * math.pow(1 - 2 / (9 * df) + 4 * math.sqrt(2 / (9 * df)), 3)
+        assert(chi2 <= bound, s"m = $m: χ² = $chi2 > $bound")
+      }
+    }
+  }
+
+  test("the splitter's per-cell counts always sum to the pairs split") {
+    checkProp(Prop.forAll(Gen.choose(0L, 2000000L), Gen.choose(1, 12), Gen.choose(1, 12), Gen.choose(0L, 1000L)) {
+      (n, da, db, seed) => splitCounts(grid(da, db), da, db, n, new SplittableRandom(seed)).sum == n
+    })
+  }
+
+  test("Bin(N, ½) by popcount has mean N/2 and variance N/4") {
+    // Draws of all sizes interleave on one splitter, so the bit reservoir
+    // carries over between them. With μ₄ = σ⁴(3 − 2/N), the population
+    // variance of S draws has standard deviation √((μ₄ − σ⁴)/S), plus the
+    // squared deviation of the mean (≤ 25σ²/S when the mean passes).
+    val s = new Walks.Splitter(rnd40.csr, new SplittableRandom(31)) {
+      def land(a: Int, b: Int, depth: Int, x: Long): Unit = ()
+    }
+    val sizes = Seq(1L, 5L, 63L, 64L, 65L, 1000L, 1000000L)
+    val draws = 4000
+    val got = Array.fill(sizes.size)(new Array[Long](draws))
+    (0 until draws).foreach(i => sizes.indices.foreach(j => got(j)(i) = s.halfBinomial(sizes(j))))
+    sizes.indices.foreach { j =>
+      val n = sizes(j)
+      val xs = got(j).map(_.toDouble)
+      val mean = xs.sum / draws
+      val variance = xs.map(x => (x - mean) * (x - mean)).sum / draws
+      val sigma2 = n / 4.0
+      assert(math.abs(mean - n / 2.0) <= 5 * math.sqrt(sigma2 / draws), s"N = $n: mean $mean")
+      val sdVar = math.sqrt(sigma2 * sigma2 * (2 - 2.0 / n) / draws)
+      assert(math.abs(variance - sigma2) <= 5 * sdVar + 25 * sigma2 / draws, s"N = $n: variance $variance")
+      assert(got(j).forall(x => x >= 0 && x <= n), s"N = $n: a draw out of [0, N]")
+    }
   }
 
   test("the Spark pass sizes partitions by planned pairs, not by chunk count") {
@@ -112,7 +214,7 @@ class WalksSpec extends SimTestKit {
       val tail = new SplittableRandom(100 + k)
       val plain = new SplittableRandom(100 + k)
       (1 to 500).foreach { i =>
-        assert(Walks.simulateTailPairMeet(g.csr, k, 0, C, tail) ==
+        assert(Walks.simulateTailPairMeet(g.csr, k, k, 0, C, tail) ==
           Walks.simulatePairMeet(g.csr, k, k, C, plain), s"${g.name} node $k draw $i")
       }
       assert(tail.nextLong() == plain.nextLong(), s"${g.name} node $k: streams end in different states")
