@@ -19,21 +19,23 @@ import scala.collection.mutable
   * `(k, k)`: Algorithm 2, where `D̂(k,k)` is the fraction of `R(k)` pairs that
   * never meet.
   *
-  * Both phases run over the tasks `(k, R(k))` of the non-trivial nodes with
-  * the graph's CSR (the paper's §3.2 parallelization), on one of two
-  * backends ([[runsInProcess]]):
-  *  - in-process on the driver's fixed pool of `defaultParallelism` threads,
-  *    with no Spark job: always on a local master, and on a cluster up to
-  *    [[InProcessMaxPairs]] planned pairs `Σ R(k)`;
+  * Both phases run over the tasks `(k, R(k))` of the non-trivial nodes, one
+  * per node, with the graph's CSR (the paper's §3.2 parallelization). Phase
+  * A is one edge-budgeted task per node (nothing at zero levels); phase B
+  * plans each node's `(k, R(k), ℓ(k))` into [[Walks.items]], so a hub node
+  * with a huge `R(k)` cannot serialize onto one core, and draws its forced
+  * prefix in aggregate. They run on one of two backends ([[runsInProcess]]):
+  *  - in-process, with no Spark job, as one [[Walks.poolPass]] of
+  *    `defaultParallelism` workers: always on a local master, and on a
+  *    cluster up to [[InProcessMaxPairs]] planned pairs `Σ R(k)`. Nodes
+  *    start largest `R(k)` first; the worker that ends a node's phase A
+  *    plans and queues that node's items, so its walks start then, beside
+  *    the other nodes' phase A, with no barrier between the phases;
   *  - otherwise each phase as one shuffle-free Spark pass: the driver-built
   *    task list is `parallelize`d into a Dataset, mapped, and collected, over
   *    the broadcast CSR. This path spreads walks over a cluster's executors.
-  * Phase A is one edge-budgeted task per node (skipped at zero levels).
-  * Phase B passes the tasks `(k, R(k), ℓ(k))` to [[Walks.pairMeetCounts]],
-  * which plans them into items, so a hub node with a huge `R(k)` cannot
-  * serialize onto one core, and draws each node's forced prefix in
-  * aggregate. Every backend and thread count runs the same items with the
-  * same per-(node, item) RNG streams and adds integer meet counts, so D̂ is
+  * Every backend and thread count runs the same items with the same
+  * per-(node, item) RNG streams and adds integer meet counts, so D̂ is
   * bit-identical either way. A call launches at most two Spark jobs, at most
   * one at zero levels, and none in-process.
   */
@@ -45,8 +47,11 @@ object DiagEstimator {
     /** D̂ as a length-n vector: the estimate of every task node, else the
       * trivial value, else `1 − c`.
       */
-    def dense(g: Csr, c: Double): Array[Double] =
-      Array.tabulate(g.n)(k => dhat.getOrElse(k, trivial(g, k, c).getOrElse(1.0 - c)))
+    def dense(g: Csr, c: Double): Array[Double] = {
+      val out = Array.tabulate(g.n)(k => trivial(g, k, c).getOrElse(1.0 - c))
+      dhat.foreach { case (k, v) => out(k) = v }
+      out
+    }
   }
 
   /** Per-node deterministic budget cap (edge traversals). The paper's budget
@@ -96,7 +101,9 @@ object DiagEstimator {
     spark.sparkContext.isLocal || pairs <= InProcessMaxPairs
 
   /** Algorithm 3 applied to every task node; `maxLevel = 0` gives
-    * Algorithm 2. Runs in-process or on Spark by [[runsInProcess]].
+    * Algorithm 2. Runs in-process or on Spark by [[runsInProcess]]. A node
+    * given more than one task, and a task of more than `Int.MaxValue`
+    * chunks, are rejected before any phase A runs.
     */
   def localExploit(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
                    c: Double, seed: Long, maxLevel: Int = MaxLevel): DiagResult =
@@ -111,44 +118,60 @@ object DiagEstimator {
                                    inProcess: Option[Boolean], threads: Option[Int] = None): DiagResult = {
     import spark.implicits._
     val g = csr.value
-    val (triv, work) = tasks.partition { case (k, _) => trivial(g, k, c).isDefined }
-    val trivMap = triv.map { case (k, _) => k -> trivial(g, k, c).get }.toMap
-    if (work.isEmpty) return DiagResult(trivMap, 0L, 0L)
+    val seen = new java.util.BitSet(g.n)
+    tasks.foreach { case (k, _) => require(!seen.get(k), s"node $k has more than one task"); seen.set(k) }
+    val (triv, work) = tasks.toIndexedSeq.partition { case (k, _) => trivial(g, k, c).isDefined }
+    val dhat = Map.newBuilder[Int, Double]
+    triv.foreach { case (k, _) => dhat += k -> trivial(g, k, c).get }
+    if (work.isEmpty) return DiagResult(dhat.result(), 0L, 0L)
+    work.foreach { case (k, rk) => Walks.requirePlannable(k, rk) } // before any phase A runs
     val pairs = work.map(_._2).sum
-    val local = inProcess.getOrElse(runsInProcess(spark, pairs))
     val sc = spark.sparkContext
-    val poolSize = threads.getOrElse(sc.defaultParallelism)
 
     // Phase A: deterministic exploitation, one (budget-capped) task per node.
-    // With zero levels every node's result is (zSum 0, level 0, edges 0), so
-    // the rows are built on the driver and no Spark job runs.
-    val detRows =
-      if (maxLevel == 0) work.map { case (k, rk) => phaseARow(g, k, rk, c, 0) }.toArray
-      else if (local) DriverPool.map(work.toIndexedSeq, poolSize) {
-        case (k, rk) => phaseARow(g, k, rk, c, maxLevel)
+    // Phase B: tail sampling, in items. meets(i) is task i's tail meets, or
+    // −1 if it planned no item.
+    val (rows, meets) =
+      if (inProcess.getOrElse(runsInProcess(spark, pairs))) {
+        // One pool pass: a worker runs a node's phase A, then plans and queues its items.
+        val rows = new Array[PhaseARow](work.size)
+        val meets = Walks.poolPass(g, work, c, seed, threads.getOrElse(sc.defaultParallelism)) { i =>
+          val (k, rk) = work(i)
+          rows(i) = phaseARow(g, k, rk, c, maxLevel)
+          rows(i)._4
+        }
+        (rows, meets)
       } else {
-        val parts = math.min(512, math.max(sc.defaultParallelism, work.size / 64 + 1))
-        spark.createDataset(sc.parallelize(work, parts)).mapPartitions { it =>
-          val graph = csr.value
-          it.map { case (k, rk) => phaseARow(graph, k, rk, c, maxLevel) }
-        }.collect()
+        // With zero levels every node's result is (zSum 0, level 0, edges 0),
+        // so the rows are built on the driver and no phase-A job runs.
+        val rows =
+          if (maxLevel == 0) work.map { case (k, rk) => phaseARow(g, k, rk, c, 0) }.toArray
+          else {
+            val parts = math.min(512, math.max(sc.defaultParallelism, work.size / 64 + 1))
+            spark.createDataset(sc.parallelize(work, parts)).mapPartitions { it =>
+              val graph = csr.value
+              it.map { case (k, rk) => phaseARow(graph, k, rk, c, maxLevel) }
+            }.collect()
+          }
+        val tailTasks = rows.map { case (k, rk, _, level, _) => (k, rk, level) }.toSeq
+        val tails = Walks.pairMeetCountsOn(spark, csr, tailTasks, c, seed, inProcess = false)
+        (rows, rows.map { case (k, _, _, _, _) => tails.get(k).fold(-1L)(_.meets) })
       }
 
-    // Phase B: tail sampling, in items.
-    val tailTasks = detRows.map { case (k, rk, _, level, _) => (k, rk, level) }.toSeq
-    val tails = Walks.pairMeetCountsOn(spark, csr, tailTasks, c, seed, local, Some(poolSize))
-    val est = detRows.map { case (k, rk, zSum, level, _) =>
-      val tail = tails.get(k) match {
-        case Some(mc) if mc.pairs > 0 => math.pow(c, level) * mc.meets.toDouble / mc.pairs
-        case _ => 0.0
-      }
-      k -> (1.0 - zSum - tail)
-    }.toMap
-    DiagResult(trivMap ++ est, pairs, detRows.map(_._5).sum)
+    var edges = 0L
+    rows.indices.foreach { i =>
+      val (k, rk, zSum, level, e) = rows(i)
+      val tail = if (meets(i) > 0) math.pow(c, level) * meets(i).toDouble / rk else 0.0
+      dhat += k -> (1.0 - zSum - tail)
+      edges += e
+    }
+    DiagResult(dhat.result(), pairs, edges)
   }
 
-  /** One phase-A row: (k, R(k), zSum, level, edges). */
-  private def phaseARow(g: Csr, k: Int, rk: Long, c: Double, maxLevel: Int): (Int, Long, Double, Int, Long) = {
+  /** One phase-A result: (k, R(k), zSum, level, edges). */
+  private type PhaseARow = (Int, Long, Double, Int, Long)
+
+  private def phaseARow(g: Csr, k: Int, rk: Long, c: Double, maxLevel: Int): PhaseARow = {
     val d = deterministicPhase(g, k, edgeBudget(rk, c), c, maxLevel)
     (k, rk, d.zSum, d.level, d.edges)
   }

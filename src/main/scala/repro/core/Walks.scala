@@ -1,10 +1,12 @@
 package repro.core
 
 import java.util.SplittableRandom
+import java.util.concurrent.atomic.AtomicLongArray
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Csr
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** √c-walk simulation, on Spark or on the driver.
@@ -21,8 +23,10 @@ import scala.collection.mutable
   * D̂ work is planned into [[Item]]s, which run either with
   * `Dataset.mapPartitions` over a broadcast CSR (normally the graph's
   * [[repro.graph.GraphData.csrBroadcast]]) or on the driver's thread pool over
-  * the same CSR. A task without a forced prefix is cut into chunks of at most
-  * [[ChunkSize]] pairs. The forced prefix of an Algorithm-3 task is drawn in
+  * the same CSR, where each task is planned and its items queued in one
+  * [[poolPass]] as soon as its forced prefix is known. A task without a
+  * forced prefix is cut into chunks of at most [[ChunkSize]] pairs. The
+  * forced prefix of an Algorithm-3 task is drawn in
   * aggregate: the pairs that stand on one state are split over its successor
   * states in one exact draw ([[Splitter]]), and only the groups that splitting
   * no longer pays for are walked pair by pair. RNG streams are seeded per
@@ -68,50 +72,98 @@ object Walks {
     pairMeetCountsOn(spark, csr, tasks, c, seed,
       DiagEstimator.runsInProcess(spark, tasks.iterator.map(_._2).sum))
 
-  /** [[pairMeetCounts]] on a given backend. In-process, the items run on the
-    * driver's pool of `threads` (default `defaultParallelism`) threads and no
-    * Spark job starts. Otherwise they are `parallelize`d into one Dataset (no
-    * shuffle) in about one partition per `4·ChunkSize` planned pairs, at
-    * least `defaultParallelism` and at most 512. All give the same counts.
+  /** [[pairMeetCounts]] on a given backend. In-process, the tasks run as one
+    * [[poolPass]] on the driver's pool of `threads` (default
+    * `defaultParallelism`) threads and no Spark job starts. Otherwise their
+    * [[items]] are `parallelize`d into one Dataset (no shuffle) in about one
+    * partition per `4·ChunkSize` planned pairs, at least `defaultParallelism`
+    * and at most 512. All give the same counts.
     */
   private[core] def pairMeetCountsOn(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long, Int)],
                                      c: Double, seed: Long, inProcess: Boolean,
                                      threads: Option[Int] = None): Map[Int, MeetCount] = {
     import spark.implicits._
     val g = csr.value
-    val todo = items(g, tasks, seed)
-    if (todo.isEmpty) return Map.empty
     val sc = spark.sparkContext
-    val perItem =
-      if (inProcess)
-        DriverPool.map(todo, threads.getOrElse(sc.defaultParallelism))(it => (it.node, itemMeets(g, it, c, seed)))
-      else {
-        val planned = tasks.iterator.map(_._2).sum
-        val parts = math.min(512L, math.max(sc.defaultParallelism.toLong, planned / (4L * ChunkSize) + 1)).toInt
-        spark.createDataset(sc.parallelize(todo, parts)).mapPartitions { it =>
-          val graph = csr.value
-          it.map(item => (item.node, itemMeets(graph, item, c, seed)))
-        }.collect()
+    val perTask = tasks.map { case (node, pairs, _) => (node, pairs) }
+    if (inProcess) {
+      val todo = perTask.toIndexedSeq
+      todo.foreach { case (node, pairs) => requirePlannable(node, pairs) }
+      val meets = poolPass(g, todo, c, seed, threads.getOrElse(sc.defaultParallelism))(tasks(_)._3)
+      meetCounts(perTask, todo.indices.collect { case i if meets(i) >= 0 => todo(i)._1 -> meets(i) })
+    } else {
+      val todo = items(g, tasks, seed)
+      if (todo.isEmpty) return Map.empty
+      val planned = tasks.iterator.map(_._2).sum
+      val parts = math.min(512L, math.max(sc.defaultParallelism.toLong, planned / (4L * ChunkSize) + 1)).toInt
+      val perItem = spark.createDataset(sc.parallelize(todo, parts)).mapPartitions { it =>
+        val graph = csr.value
+        it.map(item => (item.node, itemMeets(graph, item, c, seed)))
+      }.collect()
+      meetCounts(perTask, perItem)
+    }
+  }
+
+  /** D̂'s tail on the driver's pool of `threads` threads, as one
+    * [[DriverPool.run]] pass with one root per task, largest `pairs` first
+    * (longest-processing-time-first list scheduling). Task i's root calls
+    * `prefixOf(i)` (phase A, in [[DiagEstimator.localExploit]]), plans the
+    * task's items with `items(g, Seq((node, pairs, prefix)), seed)`, the same
+    * planning stream and item numbers as the batch call, and queues them, so
+    * a node's walks start as soon as its own prefix is known; idle workers
+    * run the queued items. Returns the meets of task i at i, or −1 if it
+    * planned no item. The caller checks [[requirePlannable]] first.
+    */
+  private[core] def poolPass(g: Csr, tasks: IndexedSeq[(Int, Long)], c: Double, seed: Long, threads: Int)
+                            (prefixOf: Int => Int): Array[Long] = {
+    val n = tasks.size
+    val meets = new AtomicLongArray(n)
+    val planned = new Array[Boolean](n)
+    // Sort keys: pairs (capped at 2³² − 1) above the complemented index, so
+    // the last key is the largest task, the first in task order on ties.
+    val keys = Array.tabulate(n)(i => (math.min(tasks(i)._2, 0xffffffffL) << 31) | (Int.MaxValue - i))
+    java.util.Arrays.sort(keys)
+    val roots = Array.tabulate[DriverPool.Root](n) { j =>
+      val i = Int.MaxValue - (keys(n - 1 - j) & Int.MaxValue).toInt
+      () => {
+        val (node, pairs) = tasks(i)
+        val todo = items(g, Seq((node, pairs, prefixOf(i))), seed)
+        planned(i) = todo.nonEmpty
+        todo.map(item => () => { meets.addAndGet(i, itemMeets(g, item, c, seed)); () })
       }
+    }
+    DriverPool.run(ArraySeq.unsafeWrapArray(roots), threads)
+    Array.tabulate(n)(i => if (planned(i)) meets.get(i) else -1L)
+  }
+
+  /** Per-node totals: meets summed over `perItem`, pairs over the tasks. A
+    * node none of whose tasks planned an item is left out.
+    */
+  private def meetCounts(tasks: Seq[(Int, Long)], perItem: Iterable[(Int, Long)]): Map[Int, MeetCount] = {
     val pairsOf = tasks.groupMapReduce(_._1)(_._2)(_ + _)
     perItem.groupMapReduce(_._1)(_._2)(_ + _)
       .map { case (node, m) => node -> MeetCount(node, pairsOf(node), m) }
   }
+
+  /** Rejects a task that would need more than `Int.MaxValue` chunks, before
+    * anything is drawn.
+    */
+  private[core] def requirePlannable(node: Int, pairs: Long): Unit =
+    require((pairs - 1) / ChunkSize < Int.MaxValue,
+      s"node $node: R(k) = $pairs pairs need more than ${Int.MaxValue} chunks of $ChunkSize")
 
   /** A task list's items, task by task, numbered from 0 within each task.
     * A group of pairs on a state is split on the driver, with the task's
     * planning stream `mix(seed, node, −1)`, while its prefix is not done and
     * its cells would average at least [[ChunkSize]] pairs; every other group
     * is cut into items of at most [[ChunkSize]] pairs. So a task at prefix 0
-    * gives exactly its chunks, and no hub lands on a single thread. A task
-    * that would need more than `Int.MaxValue` chunks is rejected before
-    * anything is drawn.
+    * gives exactly its chunks, and no hub lands on a single thread. Tasks
+    * are planned independently, so planning them one at a time gives the
+    * same items. A task that would need more than `Int.MaxValue` chunks is
+    * rejected before anything is drawn.
     */
   private[core] def items(g: Csr, tasks: Seq[(Int, Long, Int)], seed: Long): IndexedSeq[Item] = {
-    tasks.foreach { case (node, pairs, _) =>
-      require((pairs - 1) / ChunkSize < Int.MaxValue,
-        s"node $node: R(k) = $pairs pairs need more than ${Int.MaxValue} chunks of $ChunkSize")
-    }
+    tasks.foreach { case (node, pairs, _) => requirePlannable(node, pairs) }
     tasks.toIndexedSeq.flatMap { case (node, pairs, prefix) =>
       val planner = new Planner(g, node, prefix, new SplittableRandom(mix(seed, node, -1)))
       planner.land(node, node, 0, pairs)

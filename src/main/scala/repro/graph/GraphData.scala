@@ -50,11 +50,19 @@ final class GraphData(val spark: SparkSession, val name: String, val n: Int, raw
     p
   }
 
-  /** Driver-side CSR of the same graph (for walks and the default mat-vec engine). */
+  /** Driver-side CSR of the same graph (for walks and the default mat-vec
+    * engine). Every id must lie in `[0, n)`; it is checked on the `Long`
+    * value, before it is narrowed to an `Int`, so an id ≥ 2³¹ cannot wrap
+    * onto a valid node.
+    */
   lazy val csr: Csr = {
+    def id(src: Long, dst: Long, v: Long): Int = {
+      require(v >= 0 && v < n, s"edge ($src -> $dst): node id $v out of range [0, $n)")
+      v.toInt
+    }
     val pairs = edges
       .collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+      .map { r => val (s, d) = (r.getLong(0), r.getLong(1)); (id(s, d, s), id(s, d, d)) }
     Csr.fromEdges(n, pairs.toIndexedSeq)
   }
 

@@ -6,6 +6,8 @@ import repro.eval.{Datasets, Harness}
 import repro.graph.GraphData
 import repro.linalg.LocalEngine
 
+import scala.collection.mutable
+
 class DiagEstimatorSpec extends SimTestKit {
 
   private def bits(r: DiagEstimator.DiagResult) =
@@ -219,5 +221,80 @@ class DiagEstimatorSpec extends SimTestKit {
       same(g, "PRSim index", PrSim.indexTasks(pr, 0.05, 1.0), 0, 42)
     }
     assert(biggest > Walks.ChunkSize, "some task should span several chunks")
+  }
+
+  test("the pool pass on 1, 2, 3 and defaultParallelism threads and the Spark pass give the same D̂ and scores") {
+    // GQ-lite queries at ε = 1e-2 (α = 20 gives tasks of several items) and
+    // battery queries, basic and optimized: D̂'s raw bits, its counts and the
+    // backward pass's scores must not depend on the backend or thread count.
+    val gq = Datasets.byKey("GQ-lite").generate(spark)
+    val cases =
+      (for (alpha <- Seq(1.0, 20.0)) yield gq -> ExactSimConf.optimized(1e-2, alpha, seed = 21)) ++
+        (for (g <- battery; conf <- Seq(ExactSimConf.basic(1e-2, 1.0, seed = 21),
+          ExactSimConf.optimized(1e-2, 1.0, seed = 21))) yield g -> conf)
+    val dp = spark.sparkContext.defaultParallelism
+    var multiItem = false
+    for ((g, conf) <- cases; source <- Harness.querySources(g, 2)) {
+      val eng = new LocalEngine(g.csr)
+      val fwd = Linearized.forward(eng, source, C, conf.iterations, conf.truncationThreshold)
+      val tasks = ExactSim.allocate(fwd.pi, conf.totalSamples(g.n), conf.piSquared)
+      multiItem ||= tasks.exists { case (k, rk) => rk > Walks.ChunkSize && DiagEstimator.trivial(g.csr, k, C).isEmpty }
+      val maxLevel = if (conf.localExploit) DiagEstimator.MaxLevel else 0
+      def on(inProcess: Boolean, threads: Option[Int]) = {
+        val d = DiagEstimator.localExploitOn(spark, g.csrBroadcast, tasks, C, conf.seed, maxLevel, Some(inProcess),
+          threads)
+        val scores = Linearized.backward(eng, fwd, d.dense(g.csr, C), C)
+        (bits(d), scores.map(java.lang.Double.doubleToRawLongBits).toSeq)
+      }
+      val want = on(inProcess = false, None)
+      for (threads <- Seq(1, 2, 3, dp))
+        assert(on(inProcess = true, Some(threads)) == want,
+          s"${g.name} source $source, localExploit=${conf.localExploit}: $threads threads vs the Spark pass")
+    }
+    assert(multiItem, "no GQ-lite task spans several items")
+  }
+
+  test("a task list of trivial nodes returns without dispatching any work") {
+    val tasks = Seq(0 -> 10L, 1 -> 10L, 2 -> 10L) // pair: in-degrees 1, 1 and 0
+    val before = DriverPool.passes
+    var res: DiagEstimator.DiagResult = null
+    val jobs = jobsDuring {
+      res = DiagEstimator.localExploitOn(spark, pair.csrBroadcast, tasks, C, 1L, DiagEstimator.MaxLevel, Some(true))
+      DiagEstimator.localExploitOn(spark, pair.csrBroadcast, tasks, C, 1L, DiagEstimator.MaxLevel, Some(false))
+    }
+    assert(DriverPool.passes == before && jobs == 0)
+    assert(res.walkPairs == 0L && res.dhat == Map(0 -> (1.0 - C), 1 -> (1.0 - C), 2 -> 1.0))
+  }
+
+  test("a task of more than Int.MaxValue chunks is rejected before any phase A runs") {
+    val hub = (0 until rnd40.n).maxBy(rnd40.csr.inDeg)
+    val other = (0 until rnd40.n).find(k => k != hub && rnd40.csr.inDeg(k) >= 2).get
+    val tasks = Seq(other -> 1000L, hub -> (1L << 45))
+    for (inProcess <- Seq(true, false)) {
+      val before = DriverPool.passes
+      var e: IllegalArgumentException = null
+      val jobs = jobsDuring {
+        e = intercept[IllegalArgumentException](DiagEstimator.localExploitOn(spark, rnd40.csrBroadcast, tasks, C,
+          1L, DiagEstimator.MaxLevel, Some(inProcess)))
+      }
+      assert(e.getMessage.contains(s"node $hub") && e.getMessage.contains((1L << 45).toString), e.getMessage)
+      assert(DriverPool.passes == before && jobs == 0, s"inProcess=$inProcess: work started")
+    }
+  }
+
+  test("a node given two tasks is rejected") {
+    val k = (0 until rnd40.n).find(rnd40.csr.inDeg(_) >= 2).get
+    val e = intercept[IllegalArgumentException](
+      DiagEstimator.localExploit(spark, rnd40.csrBroadcast, Seq(k -> 10L, k -> 20L), C, seed = 1))
+    assert(e.getMessage.contains(s"node $k"), e.getMessage)
+  }
+
+  test("the pool pass starts the largest task first, ties in task order") {
+    val g = rnd40.csr
+    val ks = (0 until g.n).filter(g.inDeg(_) >= 2).take(5)
+    val tasks = IndexedSeq(ks(0) -> 5L, ks(1) -> 100L, ks(2) -> 5L, ks(3) -> 70000L, ks(4) -> 100L)
+    val started = mutable.ArrayBuffer.empty[Int]
+    Walks.poolPass(g, tasks, C, 3L, threads = 1) { i => started += i; 0 }
+    assert(started == Seq(3, 1, 4, 0, 2))
   }
 }

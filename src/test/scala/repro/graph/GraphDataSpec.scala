@@ -39,4 +39,14 @@ class GraphDataSpec extends SimTestKit {
     g.unpersistAll()
     assert(g.edges.count() == 5) // recomputable after unpersist
   }
+
+  test("an edge id outside [0, n) fails on its Long value, naming the edge") {
+    import spark.implicits._
+    // 2³² + 1 narrows to 1, a valid node of n = 3, so only the Long check sees it.
+    for ((src, dst) <- Seq((4294967297L, 0L), (0L, -1L), (1L, 3L))) {
+      val g = new GraphData(spark, "raw", 3, Seq((src, dst), (0L, 2L)).toDF("src", "dst"))
+      val e = intercept[IllegalArgumentException](g.csr)
+      assert(e.getMessage.contains(s"edge ($src -> $dst)") && e.getMessage.contains("[0, 3)"), e.getMessage)
+    }
+  }
 }
