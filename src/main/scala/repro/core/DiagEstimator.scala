@@ -20,24 +20,17 @@ import scala.collection.mutable
   * never meet.
   *
   * Both phases run over the tasks `(k, R(k))` of the non-trivial nodes, one
-  * per node, with the graph's CSR (the paper's §3.2 parallelization). Phase
-  * A is one edge-budgeted task per node (nothing at zero levels); phase B
-  * plans each node's `(k, R(k), ℓ(k))` into [[Walks.items]], so a hub node
-  * with a huge `R(k)` cannot serialize onto one core, and draws its forced
-  * prefix in aggregate. They run on one of two backends ([[runsInProcess]]):
-  *  - in-process, with no Spark job, as one [[Walks.poolPass]] of
-  *    `defaultParallelism` workers: always on a local master, and on a
-  *    cluster up to [[InProcessMaxPairs]] planned pairs `Σ R(k)`. Nodes
-  *    start largest `R(k)` first; the worker that ends a node's phase A
-  *    plans and queues that node's items, so its walks start then, beside
-  *    the other nodes' phase A, with no barrier between the phases;
-  *  - otherwise each phase as one shuffle-free Spark pass: the driver-built
-  *    task list is `parallelize`d into a Dataset, mapped, and collected, over
-  *    the broadcast CSR. This path spreads walks over a cluster's executors.
-  * Every backend and thread count runs the same items with the same
+  * per node, with the graph's CSR (the paper's §3.2 parallelization), as one
+  * [[Walks.poolPass]] on the driver's thread pool. Phase A is one
+  * edge-budgeted task per node (nothing at zero levels); phase B plans each
+  * node's `(k, R(k), ℓ(k))` into [[Walks.items]], so a hub node with a huge
+  * `R(k)` cannot serialize onto one thread, and draws its forced prefix in
+  * aggregate. Nodes start largest `R(k)` first; the worker that ends a
+  * node's phase A plans and queues that node's items, so its walks start
+  * then, beside the other nodes' phase A, with no barrier between the
+  * phases. Every thread count runs the same items with the same
   * per-(node, item) RNG streams and adds integer meet counts, so D̂ is
-  * bit-identical either way. A call launches at most two Spark jobs, at most
-  * one at zero levels, and none in-process.
+  * bit-identical on any pool. No Spark job is launched.
   */
 object DiagEstimator {
 
@@ -82,42 +75,21 @@ object DiagEstimator {
   /** Result of the deterministic phase for one node. */
   final case class Deterministic(zSum: Double, level: Int, edges: Long)
 
-  /** Planned pairs `Σ R(k)` up to which [[localExploit]] runs in-process on
-    * a cluster. One predicate covers both phases, since phase A's budget is
-    * at most `2R(k)/√c` edges per node. Timed on GQ-lite with each backend
-    * forced (CHANGES.md), the driver's pool finishes 200k pairs in less time
-    * than the Spark pass's two-job floor, so no executors could do better;
-    * from about 500k pairs on, it takes longer than that floor, and
-    * executors beyond the driver's cores can pay for their jobs.
-    */
-  val InProcessMaxPairs: Long = 200000L
-
-  /** Whether a D̂ of `pairs` planned pairs runs in-process. On a local master
-    * the executors are the driver's own cores, so the Spark pass could only
-    * add its job floor, and every D̂ runs in-process; elsewhere, up to
-    * [[InProcessMaxPairs]].
-    */
-  private[core] def runsInProcess(spark: SparkSession, pairs: Long): Boolean =
-    spark.sparkContext.isLocal || pairs <= InProcessMaxPairs
-
   /** Algorithm 3 applied to every task node; `maxLevel = 0` gives
-    * Algorithm 2. Runs in-process or on Spark by [[runsInProcess]]. A node
+    * Algorithm 2. Runs on the driver's pool of [[DriverPool.size]] threads
+    * and launches no Spark job; `csr` is only read on the driver. A node
     * given more than one task, and a task of more than `Int.MaxValue`
     * chunks, are rejected before any phase A runs.
     */
   def localExploit(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
                    c: Double, seed: Long, maxLevel: Int = MaxLevel): DiagResult =
-    localExploitOn(spark, csr, tasks, c, seed, maxLevel, inProcess = None)
+    localExploitOn(csr.value, tasks, c, seed, maxLevel, DriverPool.size(spark.sparkContext))
 
-  /** [[localExploit]] with the backend forced when `inProcess` is set, and
-    * the in-process pool's size when `threads` is (default
-    * `defaultParallelism`). Neither changes D̂.
+  /** [[localExploit]] on a pool of `threads` threads (tests); the thread
+    * count does not change D̂.
     */
-  private[core] def localExploitOn(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
-                                   c: Double, seed: Long, maxLevel: Int,
-                                   inProcess: Option[Boolean], threads: Option[Int] = None): DiagResult = {
-    import spark.implicits._
-    val g = csr.value
+  private[core] def localExploitOn(g: Csr, tasks: Seq[(Int, Long)], c: Double, seed: Long, maxLevel: Int,
+                                   threads: Int): DiagResult = {
     val seen = new java.util.BitSet(g.n)
     tasks.foreach { case (k, _) => require(!seen.get(k), s"node $k has more than one task"); seen.set(k) }
     val (triv, work) = tasks.toIndexedSeq.partition { case (k, _) => trivial(g, k, c).isDefined }
@@ -125,55 +97,26 @@ object DiagEstimator {
     triv.foreach { case (k, _) => dhat += k -> trivial(g, k, c).get }
     if (work.isEmpty) return DiagResult(dhat.result(), 0L, 0L)
     work.foreach { case (k, rk) => Walks.requirePlannable(k, rk) } // before any phase A runs
-    val pairs = work.map(_._2).sum
-    val sc = spark.sparkContext
 
-    // Phase A: deterministic exploitation, one (budget-capped) task per node.
-    // Phase B: tail sampling, in items. meets(i) is task i's tail meets, or
-    // −1 if it planned no item.
-    val (rows, meets) =
-      if (inProcess.getOrElse(runsInProcess(spark, pairs))) {
-        // One pool pass: a worker runs a node's phase A, then plans and queues its items.
-        val rows = new Array[PhaseARow](work.size)
-        val meets = Walks.poolPass(g, work, c, seed, threads.getOrElse(sc.defaultParallelism)) { i =>
-          val (k, rk) = work(i)
-          rows(i) = phaseARow(g, k, rk, c, maxLevel)
-          rows(i)._4
-        }
-        (rows, meets)
-      } else {
-        // With zero levels every node's result is (zSum 0, level 0, edges 0),
-        // so the rows are built on the driver and no phase-A job runs.
-        val rows =
-          if (maxLevel == 0) work.map { case (k, rk) => phaseARow(g, k, rk, c, 0) }.toArray
-          else {
-            val parts = math.min(512, math.max(sc.defaultParallelism, work.size / 64 + 1))
-            spark.createDataset(sc.parallelize(work, parts)).mapPartitions { it =>
-              val graph = csr.value
-              it.map { case (k, rk) => phaseARow(graph, k, rk, c, maxLevel) }
-            }.collect()
-          }
-        val tailTasks = rows.map { case (k, rk, _, level, _) => (k, rk, level) }.toSeq
-        val tails = Walks.pairMeetCountsOn(spark, csr, tailTasks, c, seed, inProcess = false)
-        (rows, rows.map { case (k, _, _, _, _) => tails.get(k).fold(-1L)(_.meets) })
-      }
+    // One pool pass: a worker runs a node's phase A (deterministic
+    // exploitation, budget-capped), then plans and queues its tail items.
+    // meets(i) is task i's tail meets, or −1 if it planned no item.
+    val phaseA = new Array[Deterministic](work.size)
+    val meets = Walks.poolPass(g, work, c, seed, threads) { i =>
+      val (k, rk) = work(i)
+      phaseA(i) = deterministicPhase(g, k, edgeBudget(rk, c), c, maxLevel)
+      phaseA(i).level
+    }
 
     var edges = 0L
-    rows.indices.foreach { i =>
-      val (k, rk, zSum, level, e) = rows(i)
+    work.indices.foreach { i =>
+      val (k, rk) = work(i)
+      val Deterministic(zSum, level, e) = phaseA(i)
       val tail = if (meets(i) > 0) math.pow(c, level) * meets(i).toDouble / rk else 0.0
       dhat += k -> (1.0 - zSum - tail)
       edges += e
     }
-    DiagResult(dhat.result(), pairs, edges)
-  }
-
-  /** One phase-A result: (k, R(k), zSum, level, edges). */
-  private type PhaseARow = (Int, Long, Double, Int, Long)
-
-  private def phaseARow(g: Csr, k: Int, rk: Long, c: Double, maxLevel: Int): PhaseARow = {
-    val d = deterministicPhase(g, k, edgeBudget(rk, c), c, maxLevel)
-    (k, rk, d.zSum, d.level, d.edges)
+    DiagResult(dhat.result(), work.iterator.map(_._2).sum, edges)
   }
 
   /** Thrown inside the level computation when the edge budget is exhausted;

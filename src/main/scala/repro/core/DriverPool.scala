@@ -3,11 +3,10 @@ package repro.core
 import java.util.concurrent.{CompletableFuture, ConcurrentHashMap, ConcurrentLinkedQueue, ExecutionException,
   ExecutorService, Executors}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.SparkContext
 
-import scala.reflect.ClassTag
-
-/** The driver's thread pools for in-process D̂ work: one fixed pool of daemon
-  * threads per thread count, shared by every caller that asks for that count,
+/** The driver's thread pools for D̂ work: one fixed pool of daemon threads
+  * per thread count, shared by every caller that asks for that count,
   * created on first use and never shut down (daemon threads do not keep the
   * JVM alive). A call ([[run]]) is one pass over root tasks that may queue
   * follow-up jobs, worked by the caller and pool threads together.
@@ -28,6 +27,13 @@ private[core] object DriverPool {
         t.setDaemon(true)
         t
       }))
+
+  /** The thread count of a D̂ on `sc`: `defaultParallelism`, capped at the
+    * driver's processors. On a local master `defaultParallelism` is the
+    * master's thread count (4 on `local[4]`); on a cluster it counts
+    * executor cores, which the driver does not have.
+    */
+  def size(sc: SparkContext): Int = math.min(sc.defaultParallelism, Runtime.getRuntime.availableProcessors)
 
   /** A root task: runs, then returns the follow-up jobs it queues. */
   type Root = () => Seq[() => Unit]
@@ -52,15 +58,6 @@ private[core] object DriverPool {
       try pass.done.get()
       catch { case e: ExecutionException => throw e.getCause }
     }
-
-  /** `items.map(f)` with [[run]]'s workers, in the order of `items`: each
-    * item is a root with no follow-up jobs.
-    */
-  def map[A, B: ClassTag](items: IndexedSeq[A], threads: Int)(f: A => B): Array[B] = {
-    val out = new Array[B](items.size)
-    run(items.indices.map(i => () => { out(i) = f(items(i)); Nil }), threads)
-    out
-  }
 
   /** One call of [[run]]: the shared root counter, job queue and count of
     * unfinished roots and jobs. Every pool worker runs this same `Runnable`;

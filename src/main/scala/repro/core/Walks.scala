@@ -9,7 +9,7 @@ import repro.graph.Csr
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
-/** √c-walk simulation, on Spark or on the driver.
+/** √c-walk simulation on the driver, and the MC baseline's walk index on Spark.
   *
   * A √c-walk moves to a uniform random in-neighbor with probability √c and
   * stops otherwise; it also stops (forcedly) at a node with no in-neighbors.
@@ -18,20 +18,18 @@ import scala.collection.mutable
   * one joint stop test per step (both continue with probability c) and both
   * walks' in-neighbors from one `nextLong` ([[repro.graph.Csr.stepWith]]).
   *
-  * Two kernels: [[pairMeetCounts]], the one pair-walk kernel behind every D̂
-  * estimate, and [[walkIndex]], the MC baseline's walk index (a Spark pass).
-  * D̂ work is planned into [[Item]]s, which run either with
-  * `Dataset.mapPartitions` over a broadcast CSR (normally the graph's
-  * [[repro.graph.GraphData.csrBroadcast]]) or on the driver's thread pool over
-  * the same CSR, where each task is planned and its items queued in one
-  * [[poolPass]] as soon as its forced prefix is known. A task without a
-  * forced prefix is cut into chunks of at most [[ChunkSize]] pairs. The
-  * forced prefix of an Algorithm-3 task is drawn in
-  * aggregate: the pairs that stand on one state are split over its successor
-  * states in one exact draw ([[Splitter]]), and only the groups that splitting
-  * no longer pays for are walked pair by pair. RNG streams are seeded per
-  * (node, item), so results are reproducible for a fixed seed regardless of
-  * partitioning, thread count and backend.
+  * Two kernels: the pair-walk kernel behind every D̂ estimate ([[poolPass]],
+  * also reached through [[pairMeetCounts]]), and [[walkIndex]], the MC
+  * baseline's walk index (a Spark pass over the broadcast CSR). D̂ work runs
+  * on the driver's thread pool over the driver-side CSR: each task is
+  * planned into [[Item]]s and its items queued in one [[poolPass]] as soon
+  * as its forced prefix is known. A task without a forced prefix is cut into
+  * chunks of at most [[ChunkSize]] pairs. The forced prefix of an
+  * Algorithm-3 task is drawn in aggregate: the pairs that stand on one state
+  * are split over its successor states in one exact draw ([[Splitter]]),
+  * and only the groups that splitting no longer pays for are walked pair by
+  * pair. RNG streams are seeded per (node, item), so results are
+  * reproducible for a fixed seed regardless of the thread count.
   */
 object Walks {
 
@@ -62,57 +60,30 @@ object Walks {
     * scales by `c^prefixLen`; at prefix 0 the meet fraction's complement is
     * the Algorithm-2 estimate of D(k,k).
     *
-    * The tasks are planned into [[items]], each run by [[itemMeets]], and the
-    * driver sums the per-item counts per node; `pairs` comes from the task
-    * list. The backend is [[DiagEstimator.runsInProcess]]'s choice for the
-    * planned pairs.
+    * The tasks run as one [[poolPass]] with the prefixes given, on the
+    * driver's pool of [[DriverPool.size]] threads; no Spark job starts. The
+    * per-item counts are summed per node, and `pairs` comes from the task
+    * list. A node none of whose tasks planned an item is left out.
     */
   def pairMeetCounts(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long, Int)],
-                     c: Double, seed: Long): Map[Int, MeetCount] =
-    pairMeetCountsOn(spark, csr, tasks, c, seed,
-      DiagEstimator.runsInProcess(spark, tasks.iterator.map(_._2).sum))
-
-  /** [[pairMeetCounts]] on a given backend. In-process, the tasks run as one
-    * [[poolPass]] on the driver's pool of `threads` (default
-    * `defaultParallelism`) threads and no Spark job starts. Otherwise their
-    * [[items]] are `parallelize`d into one Dataset (no shuffle) in about one
-    * partition per `4·ChunkSize` planned pairs, at least `defaultParallelism`
-    * and at most 512. All give the same counts.
-    */
-  private[core] def pairMeetCountsOn(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long, Int)],
-                                     c: Double, seed: Long, inProcess: Boolean,
-                                     threads: Option[Int] = None): Map[Int, MeetCount] = {
-    import spark.implicits._
-    val g = csr.value
-    val sc = spark.sparkContext
-    val perTask = tasks.map { case (node, pairs, _) => (node, pairs) }
-    if (inProcess) {
-      val todo = perTask.toIndexedSeq
-      todo.foreach { case (node, pairs) => requirePlannable(node, pairs) }
-      val meets = poolPass(g, todo, c, seed, threads.getOrElse(sc.defaultParallelism))(tasks(_)._3)
-      meetCounts(perTask, todo.indices.collect { case i if meets(i) >= 0 => todo(i)._1 -> meets(i) })
-    } else {
-      val todo = items(g, tasks, seed)
-      if (todo.isEmpty) return Map.empty
-      val planned = tasks.iterator.map(_._2).sum
-      val parts = math.min(512L, math.max(sc.defaultParallelism.toLong, planned / (4L * ChunkSize) + 1)).toInt
-      val perItem = spark.createDataset(sc.parallelize(todo, parts)).mapPartitions { it =>
-        val graph = csr.value
-        it.map(item => (item.node, itemMeets(graph, item, c, seed)))
-      }.collect()
-      meetCounts(perTask, perItem)
-    }
+                     c: Double, seed: Long): Map[Int, MeetCount] = {
+    val todo = tasks.map { case (node, pairs, _) => (node, pairs) }.toIndexedSeq
+    val prefixes = tasks.map(_._3).toArray
+    todo.foreach { case (node, pairs) => requirePlannable(node, pairs) }
+    val meets = poolPass(csr.value, todo, c, seed, DriverPool.size(spark.sparkContext))(prefixes(_))
+    val pairsOf = todo.groupMapReduce(_._1)(_._2)(_ + _)
+    todo.indices.filter(meets(_) >= 0).groupMapReduce(todo(_)._1)(meets(_))(_ + _)
+      .map { case (node, m) => node -> MeetCount(node, pairsOf(node), m) }
   }
 
   /** D̂'s tail on the driver's pool of `threads` threads, as one
     * [[DriverPool.run]] pass with one root per task, largest `pairs` first
     * (longest-processing-time-first list scheduling). Task i's root calls
     * `prefixOf(i)` (phase A, in [[DiagEstimator.localExploit]]), plans the
-    * task's items with `items(g, Seq((node, pairs, prefix)), seed)`, the same
-    * planning stream and item numbers as the batch call, and queues them, so
-    * a node's walks start as soon as its own prefix is known; idle workers
-    * run the queued items. Returns the meets of task i at i, or −1 if it
-    * planned no item. The caller checks [[requirePlannable]] first.
+    * task's [[items]] and queues them, so a node's walks start as soon as
+    * its own prefix is known; idle workers run the queued items. Returns the
+    * meets of task i at i, or −1 if it planned no item. The caller checks
+    * [[requirePlannable]] first.
     */
   private[core] def poolPass(g: Csr, tasks: IndexedSeq[(Int, Long)], c: Double, seed: Long, threads: Int)
                             (prefixOf: Int => Int): Array[Long] = {
@@ -127,22 +98,13 @@ object Walks {
       val i = Int.MaxValue - (keys(n - 1 - j) & Int.MaxValue).toInt
       () => {
         val (node, pairs) = tasks(i)
-        val todo = items(g, Seq((node, pairs, prefixOf(i))), seed)
+        val todo = items(g, node, pairs, prefixOf(i), seed)
         planned(i) = todo.nonEmpty
         todo.map(item => () => { meets.addAndGet(i, itemMeets(g, item, c, seed)); () })
       }
     }
     DriverPool.run(ArraySeq.unsafeWrapArray(roots), threads)
     Array.tabulate(n)(i => if (planned(i)) meets.get(i) else -1L)
-  }
-
-  /** Per-node totals: meets summed over `perItem`, pairs over the tasks. A
-    * node none of whose tasks planned an item is left out.
-    */
-  private def meetCounts(tasks: Seq[(Int, Long)], perItem: Iterable[(Int, Long)]): Map[Int, MeetCount] = {
-    val pairsOf = tasks.groupMapReduce(_._1)(_._2)(_ + _)
-    perItem.groupMapReduce(_._1)(_._2)(_ + _)
-      .map { case (node, m) => node -> MeetCount(node, pairsOf(node), m) }
   }
 
   /** Rejects a task that would need more than `Int.MaxValue` chunks, before
@@ -152,28 +114,25 @@ object Walks {
     require((pairs - 1) / ChunkSize < Int.MaxValue,
       s"node $node: R(k) = $pairs pairs need more than ${Int.MaxValue} chunks of $ChunkSize")
 
-  /** A task list's items, task by task, numbered from 0 within each task.
-    * A group of pairs on a state is split on the driver, with the task's
-    * planning stream `mix(seed, node, −1)`, while its prefix is not done and
-    * its cells would average at least [[ChunkSize]] pairs; every other group
-    * is cut into items of at most [[ChunkSize]] pairs. So a task at prefix 0
-    * gives exactly its chunks, and no hub lands on a single thread. Tasks
-    * are planned independently, so planning them one at a time gives the
-    * same items. A task that would need more than `Int.MaxValue` chunks is
-    * rejected before anything is drawn.
+  /** One task's items, numbered from 0. A group of pairs on a state is
+    * split on the driver, with the task's planning stream
+    * `mix(seed, node, −1)`, while its prefix is not done and its cells would
+    * average at least [[ChunkSize]] pairs; every other group is cut into
+    * items of at most [[ChunkSize]] pairs. So a task at prefix 0 gives
+    * exactly its chunks, and no hub lands on a single thread. A task that
+    * would need more than `Int.MaxValue` chunks is rejected before anything
+    * is drawn.
     */
-  private[core] def items(g: Csr, tasks: Seq[(Int, Long, Int)], seed: Long): IndexedSeq[Item] = {
-    tasks.foreach { case (node, pairs, _) => requirePlannable(node, pairs) }
-    tasks.toIndexedSeq.flatMap { case (node, pairs, prefix) =>
-      val planner = new Planner(g, node, prefix, new SplittableRandom(mix(seed, node, -1)))
-      planner.land(node, node, 0, pairs)
-      planner.out
-    }
+  private[core] def items(g: Csr, node: Int, pairs: Long, prefix: Int, seed: Long): IndexedSeq[Item] = {
+    requirePlannable(node, pairs)
+    val planner = new Planner(g, node, prefix, new SplittableRandom(mix(seed, node, -1)))
+    planner.land(node, node, 0, pairs)
+    planner.out.toIndexedSeq
   }
 
   /** Meets among one item's pairs, drawn from the item's own stream
-    * `mix(seed, node, stream)`: the per-item procedure of both backends of
-    * [[pairMeetCountsOn]] ([[ItemRun]]). At prefix 0 that is `pairs` calls of
+    * `mix(seed, node, stream)`: the per-item procedure of [[poolPass]]
+    * ([[ItemRun]]). At prefix 0 that is `pairs` calls of
     * `simulatePairMeet(k, k)`.
     */
   private[core] def itemMeets(g: Csr, item: Item, c: Double, seed: Long): Long = {

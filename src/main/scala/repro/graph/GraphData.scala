@@ -17,7 +17,7 @@ import org.apache.spark.sql.functions._
   *    the default mat-vec engine (collected once; graphs here are ≤ a few M
   *    edges);
   *  - `csrBroadcast`: that CSR broadcast to the executors, once per graph,
-  *    for every walk job on it.
+  *    for the MC baseline's walk index.
   */
 final class GraphData(val spark: SparkSession, val name: String, val n: Int, rawEdges: DataFrame) {
 
@@ -66,9 +66,10 @@ final class GraphData(val spark: SparkSession, val name: String, val n: Int, raw
     Csr.fromEdges(n, pairs.toIndexedSeq)
   }
 
-  /** The CSR as one broadcast shared by every D̂ estimate and walk index on
-    * this graph. It is never destroyed explicitly: Spark's ContextCleaner
-    * releases it once this `GraphData` is unreachable.
+  /** The CSR as one broadcast, shipped to the executors only by the MC
+    * baseline's walk index ([[repro.core.Walks.walkIndex]]); D̂ reads its
+    * value on the driver. It is never destroyed explicitly: Spark's
+    * ContextCleaner releases it once this `GraphData` is unreachable.
     */
   lazy val csrBroadcast: Broadcast[Csr] = spark.sparkContext.broadcast(csr)
 

@@ -2,7 +2,7 @@ package repro
 
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.core.PowerMethod
 import repro.eval.Harness
 import repro.graph.{GraphData, GraphGen}
@@ -54,19 +54,10 @@ trait SimTestKit extends SparkSpec {
   }
 
   /** Spark jobs started while `body` runs on the shared session. */
-  def jobsDuring(body: => Unit): Int = countDuring(body) { n =>
-    new SparkListener { override def onJobStart(e: SparkListenerJobStart): Unit = n.incrementAndGet() }
-  }
-
-  /** Spark tasks started while `body` runs on the shared session. */
-  def tasksDuring(body: => Unit): Int = countDuring(body) { n =>
-    new SparkListener { override def onTaskStart(e: SparkListenerTaskStart): Unit = n.incrementAndGet() }
-  }
-
-  private def countDuring(body: => Unit)(listenerOf: AtomicInteger => SparkListener): Int = {
+  def jobsDuring(body: => Unit): Int = {
     val sc = spark.sparkContext
     val n = new AtomicInteger
-    val listener = listenerOf(n)
+    val listener = new SparkListener { override def onJobStart(e: SparkListenerJobStart): Unit = n.incrementAndGet() }
     ListenerBusDrain(sc)
     sc.addSparkListener(listener)
     try { body; ListenerBusDrain(sc) }

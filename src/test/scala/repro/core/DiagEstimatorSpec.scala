@@ -7,11 +7,21 @@ import repro.graph.GraphData
 import repro.linalg.LocalEngine
 
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 class DiagEstimatorSpec extends SimTestKit {
 
   private def bits(r: DiagEstimator.DiagResult) =
     (r.dhat.map { case (k, v) => k -> java.lang.Double.doubleToRawLongBits(v) }, r.walkPairs, r.edgesExplored)
+
+  /** `cases.map(f)` on the driver pool: one root per case that writes its
+    * slot and queues nothing.
+    */
+  private def poolMap[A, B: ClassTag](cases: IndexedSeq[A])(f: A => B): Array[B] = {
+    val out = new Array[B](cases.size)
+    DriverPool.run(cases.indices.map(i => () => { out(i) = f(cases(i)); Nil }), spark.sparkContext.defaultParallelism)
+    out
+  }
 
   test("trivial cases: in-degree 0 → 1, in-degree 1 → 1−c") {
     assert(DiagEstimator.trivial(pair.csr, 2, C).contains(1.0))
@@ -99,7 +109,7 @@ class DiagEstimatorSpec extends SimTestKit {
       (for (g <- battery; (budget, depth) <- capped ++ deep; k <- 0 until g.n) yield (g, k, budget, depth)) ++
         (for ((budget, depth) <- capped; k <- 0 until gq.n) yield (gq, k, budget, depth)) ++
         hubs.map(k => (gq, k, DiagEstimator.MaxEdgesPerNode, DiagEstimator.MaxLevel))
-    val diffs = DriverPool.map(cases.toIndexedSeq, spark.sparkContext.defaultParallelism) {
+    val diffs = poolMap(cases.toIndexedSeq) {
       case (g, k, budget, depth) =>
         val got = DiagEstimator.deterministicPhase(g.csr, k, budget, C, depth)
         val want = ReferencePhaseA.deterministicPhase(g.csr, k, budget, C, depth)
@@ -116,7 +126,7 @@ class DiagEstimatorSpec extends SimTestKit {
     val cases =
       (for (g <- Seq(rnd60u, rnd80); k <- 0 until g.n) yield (g, k, Long.MaxValue, 25)) ++
         (0 until gq.n).map(k => (gq, k, DiagEstimator.edgeBudget(100000L, C), DiagEstimator.MaxLevel))
-    val diffs = DriverPool.map(cases.toIndexedSeq, spark.sparkContext.defaultParallelism) {
+    val diffs = poolMap(cases.toIndexedSeq) {
       case (g, k, budget, depth) =>
         val hashed = ReferencePhaseA.deterministicPhase(g.csr, k, budget, C, depth, insertionOrder = false)
         val linked = ReferencePhaseA.deterministicPhase(g.csr, k, budget, C, depth)
@@ -126,7 +136,7 @@ class DiagEstimatorSpec extends SimTestKit {
     if (diffs.nonEmpty) fail(s"${diffs.length} of ${cases.length} differ, first: ${diffs.take(3).mkString("; ")}")
   }
 
-  test("D̂ is bit-identical on one thread, on defaultParallelism threads and on the Spark pass") {
+  test("D̂ of split tasks on 1 and all threads equals the serial reference") {
     // Optimized query tasks large enough that their forced prefixes are split.
     val gq = Datasets.byKey("GQ-lite").generate(spark)
     val conf = ExactSimConf.optimized(0.05, 400.0, seed = 21)
@@ -134,12 +144,11 @@ class DiagEstimatorSpec extends SimTestKit {
       val fwd = Linearized.forward(new LocalEngine(gq.csr), source, C, conf.iterations, conf.truncationThreshold)
       val tasks = ExactSim.allocate(fwd.pi, conf.totalSamples(gq.n), conf.piSquared)
       assert(tasks.map(_._2).max >= 100000L, s"source $source: no task reaches 1e5 pairs")
-      def on(inProcess: Boolean, threads: Option[Int]) =
-        DiagEstimator.localExploitOn(spark, gq.csrBroadcast, tasks, C, conf.seed, DiagEstimator.MaxLevel,
-          Some(inProcess), threads)
-      val one = bits(on(inProcess = true, Some(1)))
-      assert(one == bits(on(inProcess = true, None)), s"source $source: 1 thread vs defaultParallelism")
-      assert(one == bits(on(inProcess = false, None)), s"source $source: 1 thread vs the Spark pass")
+      val one = bits(DiagEstimator.localExploitOn(gq.csr, tasks, C, conf.seed, DiagEstimator.MaxLevel, 1))
+      val all = DiagEstimator.localExploit(spark, gq.csrBroadcast, tasks, C, conf.seed)
+      assert(one == bits(all), s"source $source: 1 thread vs ${DriverPool.size(spark.sparkContext)}")
+      assert(one == bits(ReferenceDiag.localExploit(gq.csr, tasks, C, conf.seed, DiagEstimator.MaxLevel)),
+        s"source $source: 1 thread vs the serial reference")
     }
   }
 
@@ -176,17 +185,12 @@ class DiagEstimatorSpec extends SimTestKit {
       s"alg3 sse ${sse(alg3.dhat)} should beat alg2 sse ${sse(alg2.dhat)}")
   }
 
-  test("zero levels (Algorithm 2) skip phase A's Spark job") {
+  test("zero levels launch no Spark job, explore no edges and walk Σ R(k)") {
     val g = rnd80
     val tasks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).map(k => k -> 500L)
-    def run(maxLevel: Int) = // the Spark pass, forced: a local master runs D̂ in-process
-      DiagEstimator.localExploitOn(spark, g.csrBroadcast, tasks, C, seed = 7, maxLevel, inProcess = Some(false))
-    val jobsZero = jobsDuring(run(0))
-    val jobsFull = jobsDuring(run(DiagEstimator.MaxLevel))
-    // Each phase is one shuffle-free Spark job, and zero levels skip phase A.
-    assert(jobsZero <= 1 && jobsFull <= 2 && jobsZero < jobsFull,
-      s"zero levels: $jobsZero jobs, default levels: $jobsFull jobs")
-    val zero = run(0)
+    var zero: DiagEstimator.DiagResult = null
+    val jobs = jobsDuring { zero = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 7, maxLevel = 0) }
+    assert(jobs == 0, s"$jobs Spark jobs")
     assert(zero.edgesExplored == 0L && zero.walkPairs == tasks.map(_._2).sum)
   }
 
@@ -196,15 +200,14 @@ class DiagEstimatorSpec extends SimTestKit {
     assert(DiagEstimator.DiagResult(Map.empty, 0L, 0L).dense(star8.csr, C)(0) == 1.0 - C)
   }
 
-  test("in-process and Spark D̂ are bit-identical on query and index tasks") {
+  test("pool and serial D̂ are bit-identical on query and index tasks") {
     var biggest = 0L
     def same(g: GraphData, what: String, tasks: Seq[(Int, Long)], maxLevel: Int, seed: Long): Unit = {
       biggest = math.max(biggest, tasks.map(_._2).max)
-      def on(inProcess: Boolean) =
-        DiagEstimator.localExploitOn(spark, g.csrBroadcast, tasks, C, seed, maxLevel, Some(inProcess))
-      val (local, dist) = (on(true), on(false))
-      assert(bits(local) == bits(dist), s"${g.name} $what: backends differ")
-      assert(local.walkPairs == tasks.filter { case (k, _) => g.csr.inDeg(k) >= 2 }.map(_._2).sum)
+      val pool = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed, maxLevel)
+      val serial = ReferenceDiag.localExploit(g.csr, tasks, C, seed, maxLevel)
+      assert(bits(pool) == bits(serial), s"${g.name} $what: the pool and the serial reference differ")
+      assert(pool.walkPairs == tasks.filter { case (k, _) => g.csr.inDeg(k) >= 2 }.map(_._2).sum)
     }
     val gq = Datasets.byKey("GQ-lite").generate(spark)
     for ((g, alpha) <- battery.map(_ -> 20.0) :+ (gq -> 1.0)) {
@@ -223,10 +226,10 @@ class DiagEstimatorSpec extends SimTestKit {
     assert(biggest > Walks.ChunkSize, "some task should span several chunks")
   }
 
-  test("the pool pass on 1, 2, 3 and defaultParallelism threads and the Spark pass give the same D̂ and scores") {
+  test("D̂ and scores on 1, 2, 3 and all threads equal the serial reference") {
     // GQ-lite queries at ε = 1e-2 (α = 20 gives tasks of several items) and
     // battery queries, basic and optimized: D̂'s raw bits, its counts and the
-    // backward pass's scores must not depend on the backend or thread count.
+    // backward pass's scores must not depend on the thread count.
     val gq = Datasets.byKey("GQ-lite").generate(spark)
     val cases =
       (for (alpha <- Seq(1.0, 20.0)) yield gq -> ExactSimConf.optimized(1e-2, alpha, seed = 21)) ++
@@ -240,16 +243,14 @@ class DiagEstimatorSpec extends SimTestKit {
       val tasks = ExactSim.allocate(fwd.pi, conf.totalSamples(g.n), conf.piSquared)
       multiItem ||= tasks.exists { case (k, rk) => rk > Walks.ChunkSize && DiagEstimator.trivial(g.csr, k, C).isEmpty }
       val maxLevel = if (conf.localExploit) DiagEstimator.MaxLevel else 0
-      def on(inProcess: Boolean, threads: Option[Int]) = {
-        val d = DiagEstimator.localExploitOn(spark, g.csrBroadcast, tasks, C, conf.seed, maxLevel, Some(inProcess),
-          threads)
+      def out(d: DiagEstimator.DiagResult) = {
         val scores = Linearized.backward(eng, fwd, d.dense(g.csr, C), C)
         (bits(d), scores.map(java.lang.Double.doubleToRawLongBits).toSeq)
       }
-      val want = on(inProcess = false, None)
+      val want = out(ReferenceDiag.localExploit(g.csr, tasks, C, conf.seed, maxLevel))
       for (threads <- Seq(1, 2, 3, dp))
-        assert(on(inProcess = true, Some(threads)) == want,
-          s"${g.name} source $source, localExploit=${conf.localExploit}: $threads threads vs the Spark pass")
+        assert(out(DiagEstimator.localExploitOn(g.csr, tasks, C, conf.seed, maxLevel, threads)) == want,
+          s"${g.name} source $source, localExploit=${conf.localExploit}: $threads threads vs the serial reference")
     }
     assert(multiItem, "no GQ-lite task spans several items")
   }
@@ -258,10 +259,7 @@ class DiagEstimatorSpec extends SimTestKit {
     val tasks = Seq(0 -> 10L, 1 -> 10L, 2 -> 10L) // pair: in-degrees 1, 1 and 0
     val before = DriverPool.passes
     var res: DiagEstimator.DiagResult = null
-    val jobs = jobsDuring {
-      res = DiagEstimator.localExploitOn(spark, pair.csrBroadcast, tasks, C, 1L, DiagEstimator.MaxLevel, Some(true))
-      DiagEstimator.localExploitOn(spark, pair.csrBroadcast, tasks, C, 1L, DiagEstimator.MaxLevel, Some(false))
-    }
+    val jobs = jobsDuring { res = DiagEstimator.localExploit(spark, pair.csrBroadcast, tasks, C, 1L) }
     assert(DriverPool.passes == before && jobs == 0)
     assert(res.walkPairs == 0L && res.dhat == Map(0 -> (1.0 - C), 1 -> (1.0 - C), 2 -> 1.0))
   }
@@ -270,16 +268,13 @@ class DiagEstimatorSpec extends SimTestKit {
     val hub = (0 until rnd40.n).maxBy(rnd40.csr.inDeg)
     val other = (0 until rnd40.n).find(k => k != hub && rnd40.csr.inDeg(k) >= 2).get
     val tasks = Seq(other -> 1000L, hub -> (1L << 45))
-    for (inProcess <- Seq(true, false)) {
-      val before = DriverPool.passes
-      var e: IllegalArgumentException = null
-      val jobs = jobsDuring {
-        e = intercept[IllegalArgumentException](DiagEstimator.localExploitOn(spark, rnd40.csrBroadcast, tasks, C,
-          1L, DiagEstimator.MaxLevel, Some(inProcess)))
-      }
-      assert(e.getMessage.contains(s"node $hub") && e.getMessage.contains((1L << 45).toString), e.getMessage)
-      assert(DriverPool.passes == before && jobs == 0, s"inProcess=$inProcess: work started")
+    val before = DriverPool.passes
+    var e: IllegalArgumentException = null
+    val jobs = jobsDuring {
+      e = intercept[IllegalArgumentException](DiagEstimator.localExploit(spark, rnd40.csrBroadcast, tasks, C, 1L))
     }
+    assert(e.getMessage.contains(s"node $hub") && e.getMessage.contains((1L << 45).toString), e.getMessage)
+    assert(DriverPool.passes == before && jobs == 0, "work started")
   }
 
   test("a node given two tasks is rejected") {

@@ -4,7 +4,7 @@ import java.util.SplittableRandom
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, SimTestKit}
-import repro.graph.{Csr, GraphGen}
+import repro.graph.Csr
 
 class WalksSpec extends SimTestKit {
 
@@ -42,7 +42,9 @@ class WalksSpec extends SimTestKit {
       val d = exactD(g)
       val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).take(4)
       val tasks = ks.map(k => (k, pairs, prefix))
-      if (prefix == 3) assert(Walks.items(g.csr, tasks, 23).exists(_.depth > 0), s"${g.name}: nothing was split")
+      if (prefix == 3)
+        assert(tasks.exists { case (k, r, l) => Walks.items(g.csr, k, r, l, 23).exists(_.depth > 0) },
+          s"${g.name}: nothing was split")
       val res = Walks.pairMeetCounts(spark, g.csrBroadcast, tasks, C, seed = 23)
       ks.foreach { k =>
         val want = 1.0 - d(k) - ReferencePhaseA.deterministicPhase(g.csr, k, Long.MaxValue, C, prefix).zSum
@@ -62,16 +64,16 @@ class WalksSpec extends SimTestKit {
   }
 
   test("pairMeetCounts equals a serial loop over the same (node, chunk) streams") {
-    // Neither backend may depend on how items land in partitions or threads:
-    // a serial driver run of the per-item procedure over the same per-(node,
-    // item) RNG streams gives the same counts. A task at prefix 0 is still its
-    // chunks, each a loop of pair-walks from (k, k) on its own stream.
+    // The pool pass may not depend on how items land on threads: a serial
+    // run of the per-item procedure over the same per-(node, item) RNG
+    // streams gives the same counts. A task at prefix 0 is still its chunks,
+    // each a loop of pair-walks from (k, k) on its own stream.
     val g = rnd80
     val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2)
     val tasks = Seq((ks(0), 8193L, 0), (ks(1), 20000L, 2), (ks(2), 20000L, 0), (ks(3), 8193L, 2),
       (ks(4), 5L, 2), (ks(5), 8192L, 0), (ks(6), 400000L, 3))
     val seed = 17L
-    val items = Walks.items(g.csr, tasks, seed)
+    val items = tasks.flatMap { case (k, pairs, prefix) => Walks.items(g.csr, k, pairs, prefix, seed) }
     assert(items.exists(_.depth > 0), "the large task should be split on the driver")
     val perItem = items.map(it => it.node -> Walks.itemMeets(g.csr, it, C, seed)).groupMapReduce(_._1)(_._2)(_ + _)
     val serial = tasks.map { case (k, pairs, prefix) =>
@@ -90,26 +92,22 @@ class WalksSpec extends SimTestKit {
       }
       k -> Walks.MeetCount(k, pairs, perItem(k))
     }.toMap
-    val sparkPass = Walks.pairMeetCountsOn(spark, g.csrBroadcast, tasks, C, seed, inProcess = false)
-    assert(sparkPass == serial, "Spark pass")
-    var inProcess = Map.empty[Int, Walks.MeetCount]
-    val jobs = jobsDuring { inProcess = Walks.pairMeetCountsOn(spark, g.csrBroadcast, tasks, C, seed, inProcess = true) }
-    assert(inProcess == serial, "in-process")
-    assert(jobs == 0, s"the in-process backend launched $jobs Spark jobs")
+    var pool = Map.empty[Int, Walks.MeetCount]
+    val jobs = jobsDuring { pool = Walks.pairMeetCounts(spark, g.csrBroadcast, tasks, C, seed) }
+    assert(pool == serial, "pool pass")
+    assert(jobs == 0, s"the pool pass launched $jobs Spark jobs")
   }
 
   test("a task of more than Int.MaxValue chunks fails before any walk is drawn") {
     val hub = (0 until rnd40.n).maxBy(rnd40.csr.inDeg)
     val tasks = Seq((0, 1000L, 0), (hub, 1L << 45, 2))
-    for (inProcess <- Seq(true, false)) {
-      var e: IllegalArgumentException = null
-      val jobs = jobsDuring {
-        e = intercept[IllegalArgumentException](
-          Walks.pairMeetCountsOn(spark, rnd40.csrBroadcast, tasks, C, seed = 1, inProcess))
-      }
-      assert(e.getMessage.contains(s"node $hub") && e.getMessage.contains((1L << 45).toString), e.getMessage)
-      assert(jobs == 0, s"$jobs Spark jobs started")
+    val before = DriverPool.passes
+    var e: IllegalArgumentException = null
+    val jobs = jobsDuring {
+      e = intercept[IllegalArgumentException](Walks.pairMeetCounts(spark, rnd40.csrBroadcast, tasks, C, seed = 1))
     }
+    assert(e.getMessage.contains(s"node $hub") && e.getMessage.contains((1L << 45).toString), e.getMessage)
+    assert(DriverPool.passes == before && jobs == 0, "work started")
   }
 
   /** `I(0) × I(1)` of this graph are `da × db` distinct live nodes, so no cell is dropped. */
@@ -188,17 +186,6 @@ class WalksSpec extends SimTestKit {
       assert(math.abs(variance - sigma2) <= 5 * sdVar + 25 * sigma2 / draws, s"N = $n: variance $variance")
       assert(got(j).forall(x => x >= 0 && x <= n), s"N = $n: a draw out of [0, N]")
     }
-  }
-
-  test("the Spark pass sizes partitions by planned pairs, not by chunk count") {
-    // 2,000 one-pair chunks are 2,000 pairs of work: one partition per core, not 501.
-    val g = GraphGen.localRandom(spark, "rnd2000", 2000, 6000, seed = 6)
-    val bc = g.csrBroadcast
-    val tasks = (0 until 2000).map(k => (k, 1L, 0))
-    var res = Map.empty[Int, Walks.MeetCount]
-    val sparkTasks = tasksDuring { res = Walks.pairMeetCountsOn(spark, bc, tasks, C, seed = 3, inProcess = false) }
-    assert(sparkTasks <= spark.sparkContext.defaultParallelism, s"$sparkTasks Spark tasks for 2,000 pairs")
-    assert(res.values.map(_.pairs).sum == 2000L)
   }
 
   test("pairMeetCounts is deterministic in the seed") {
