@@ -40,7 +40,9 @@ class DiagPassBench extends SparkSpec {
         val fwd = Linearized.forward(new LocalEngine(g), source, C, conf.iterations, conf.truncationThreshold)
         (source, conf.seed, ExactSim.allocate(fwd.pi, conf.totalSamples(gq.n), conf.piSquared))
       }
-      def pass(seed: Long, tasks: Seq[(Int, Long)]) = DiagEstimator.localExploit(spark, gq.csrBroadcast, tasks, C, seed)
+      val threads = DriverPool.size(spark.sparkContext)
+      def pass(seed: Long, tasks: Seq[(Int, Long)]) =
+        DiagEstimator.localExploit(g, tasks, C, seed, DiagEstimator.MaxLevel, threads)
       (1 to warm).foreach(_ => pass(queries.head._2, queries.head._3))
       for ((source, seed, tasks) <- queries) {
         val runs = (1 to timed).map(_ => millis(pass(seed, tasks)))

@@ -1,8 +1,8 @@
 package repro.baselines
 
-import repro.core.{DiagEstimator, Linearized}
+import repro.core.{DiagEstimator, DriverPool, Linearized}
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, LocalEngine}
+import repro.linalg.LocalEngine
 
 /** Linearization (Maehara et al.): index-based.
   *
@@ -34,18 +34,17 @@ object Linearization {
     val t0 = System.nanoTime()
     val rNode = nodePairs(graph.n, eps, alpha)
     val tasks = (0 until graph.n).map(k => k -> rNode)
-    val res = DiagEstimator.localExploit(graph.spark, graph.csrBroadcast, tasks, c, seed, maxLevel = 0)
+    val res = DiagEstimator.localExploit(graph.csr, tasks, c, seed, 0, DriverPool.size(graph.spark.sparkContext))
     Index(res.dense(graph.csr, c), res.walkPairs, (System.nanoTime() - t0) / 1000000)
   }
 
   /** Query via eq. (5): for each level ℓ recompute `u_ℓ = P^ℓ e_i` from
     * scratch and accumulate `c^ℓ (Pᵀ)^ℓ D u_ℓ` — O(m·L²) work, O(n) space.
     */
-  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double,
-                   engine: Option[LinEngine] = None): Result = {
+  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double): Result = {
     Linearized.requireSource(source, graph.n)
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new LocalEngine(graph.csr))
+    val eng = new LocalEngine(graph.csr)
     val n = graph.n
     val iters = Linearized.iterationsFor(c, eps)
     val acc = new Array[Double](n)

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core.Linearized
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, LocalEngine}
+import repro.linalg.LocalEngine
 
 /** ParSim (Yu & McCann): the linearized iteration with the approximation
   * `D = (1−c)·I`, i.e. the first-meeting constraint is ignored. Index-free;
@@ -11,11 +11,10 @@ import repro.linalg.{LinEngine, LocalEngine}
   */
 object ParSim {
 
-  def singleSource(graph: GraphData, source: Int, c: Double, iters: Int,
-                   engine: Option[LinEngine] = None): Result = {
+  def singleSource(graph: GraphData, source: Int, c: Double, iters: Int): Result = {
     Linearized.requireSource(source, graph.n)
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new LocalEngine(graph.csr))
+    val eng = new LocalEngine(graph.csr)
     val fwd = Linearized.forward(eng, source, c, iters)
     val dhat = Array.fill(graph.n)(1.0 - c)
     val scores = Linearized.backward(eng, fwd, dhat, c)

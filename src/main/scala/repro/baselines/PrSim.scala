@@ -1,8 +1,8 @@
 package repro.baselines
 
-import repro.core.{DiagEstimator, Linearized}
+import repro.core.{DiagEstimator, DriverPool, Linearized}
 import repro.graph.GraphData
-import repro.linalg.{LinEngine, LocalEngine}
+import repro.linalg.LocalEngine
 
 /** PRSim-lite (after Wei et al., SIGMOD'19).
   *
@@ -26,11 +26,10 @@ object PrSim {
   }
 
   /** Global PageRank proxy: π̄ = (1−√c)·Σ_ℓ (√c P)^ℓ · (1/n)·1 — the average
-    * of all PPR vectors, computed with the same mat-vec engine as the queries.
+    * of all PPR vectors, by mat-vecs on the CSR as in the queries.
     */
-  def globalPageRank(graph: GraphData, c: Double, iters: Int,
-                     engine: Option[LinEngine] = None): Array[Double] = {
-    val eng = engine.getOrElse(new LocalEngine(graph.csr))
+  def globalPageRank(graph: GraphData, c: Double, iters: Int): Array[Double] = {
+    val eng = new LocalEngine(graph.csr)
     val n = graph.n
     val sqrtC = math.sqrt(c)
     var cur = Array.fill(n)((1.0 - sqrtC) / n)
@@ -54,33 +53,23 @@ object PrSim {
     }
   }
 
-  /** Pair-walk count the index build would need (budget checks, no walks run). */
-  def plannedPairs(graph: GraphData, c: Double, eps: Double, alpha: Double,
-                   engine: Option[LinEngine] = None): Long = {
-    val pr = globalPageRank(graph, c, Linearized.iterationsFor(c, eps), engine)
-    indexTasks(pr, eps, alpha).map(_._2).sum
-  }
-
-  /** Build the index: Algorithm-2 sampling (zero-level Algorithm 3) over
-    * [[indexTasks]].
+  /** Build the index for PageRank `pr` ([[globalPageRank]]): Algorithm-2
+    * sampling (zero-level Algorithm 3) over [[indexTasks]].
     */
-  def buildIndex(graph: GraphData, c: Double, eps: Double, alpha: Double,
-                 seed: Long = 42, engine: Option[LinEngine] = None,
-                 precomputedPr: Option[Array[Double]] = None): Index = {
+  def buildIndex(graph: GraphData, pr: Array[Double], c: Double, eps: Double, alpha: Double,
+                 seed: Long = 42): Index = {
     val t0 = System.nanoTime()
-    val pr = precomputedPr.getOrElse(globalPageRank(graph, c, Linearized.iterationsFor(c, eps), engine))
     var normSq = 0.0
     pr.foreach(p => normSq += p * p)
-    val res = DiagEstimator.localExploit(graph.spark, graph.csrBroadcast, indexTasks(pr, eps, alpha), c, seed,
-      maxLevel = 0)
+    val res = DiagEstimator.localExploit(graph.csr, indexTasks(pr, eps, alpha), c, seed, 0,
+      DriverPool.size(graph.spark.sparkContext))
     Index(res.dense(graph.csr, c), res.walkPairs, normSq, (System.nanoTime() - t0) / 1000000)
   }
 
-  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double,
-                   engine: Option[LinEngine] = None): Result = {
+  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double): Result = {
     Linearized.requireSource(source, graph.n)
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new LocalEngine(graph.csr))
+    val eng = new LocalEngine(graph.csr)
     val fwd = Linearized.forward(eng, source, c, Linearized.iterationsFor(c, eps))
     val scores = Linearized.backward(eng, fwd, index.dhat, c)
     scores(source) = 1.0

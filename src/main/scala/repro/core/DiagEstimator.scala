@@ -75,21 +75,14 @@ object DiagEstimator {
   /** Result of the deterministic phase for one node. */
   final case class Deterministic(zSum: Double, level: Int, edges: Long)
 
-  /** Algorithm 3 applied to every task node; `maxLevel = 0` gives
-    * Algorithm 2. Runs on the driver's pool of [[DriverPool.size]] threads
-    * and launches no Spark job; `csr` is only read on the driver. A node
-    * given more than one task, and a task of more than `Int.MaxValue`
-    * chunks, are rejected before any phase A runs.
+  /** Algorithm 3 applied to every task node of `g`; `maxLevel = 0` gives
+    * Algorithm 2. Runs on the driver's pool of `threads` threads (the thread
+    * count does not change D̂) and launches no Spark job. A node given more
+    * than one task, and a task of more than `Int.MaxValue` chunks, are
+    * rejected before any phase A runs.
     */
-  def localExploit(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
-                   c: Double, seed: Long, maxLevel: Int = MaxLevel): DiagResult =
-    localExploitOn(csr.value, tasks, c, seed, maxLevel, DriverPool.size(spark.sparkContext))
-
-  /** [[localExploit]] on a pool of `threads` threads (tests); the thread
-    * count does not change D̂.
-    */
-  private[core] def localExploitOn(g: Csr, tasks: Seq[(Int, Long)], c: Double, seed: Long, maxLevel: Int,
-                                   threads: Int): DiagResult = {
+  def localExploit(g: Csr, tasks: Seq[(Int, Long)], c: Double, seed: Long, maxLevel: Int,
+                   threads: Int): DiagResult = {
     val seen = new java.util.BitSet(g.n)
     tasks.foreach { case (k, _) => require(!seen.get(k), s"node $k has more than one task"); seen.set(k) }
     val (triv, work) = tasks.toIndexedSeq.partition { case (k, _) => trivial(g, k, c).isDefined }
@@ -118,6 +111,14 @@ object DiagEstimator {
     }
     DiagResult(dhat.result(), work.iterator.map(_._2).sum, edges)
   }
+
+  /** [[localExploit]] on `csr.value` with [[DriverPool.size]] threads. Its
+    * only caller is perfbench's `TracedQuery`; both go once that replica of
+    * the query is deleted.
+    */
+  def localExploit(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long)],
+                   c: Double, seed: Long): DiagResult =
+    localExploit(csr.value, tasks, c, seed, MaxLevel, DriverPool.size(spark.sparkContext))
 
   /** Thrown inside the level computation when the edge budget is exhausted;
     * the partially computed level is discarded (ℓ(k) = completed levels).
@@ -279,10 +280,4 @@ object DiagEstimator {
     }
     Deterministic(zSum, completed, edges)
   }
-
-  /** Exact D via the deterministic recursion alone (tests): run the Lemma-4
-    * levels to `depth` with an unbounded budget; the untracked tail is ≤ c^depth.
-    */
-  def exactByRecursion(g: Csr, k: Int, c: Double, depth: Int): Double =
-    trivial(g, k, c).getOrElse(1.0 - deterministicPhase(g, k, Long.MaxValue, c, depth).zSum)
 }

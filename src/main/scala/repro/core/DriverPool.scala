@@ -11,7 +11,7 @@ import org.apache.spark.SparkContext
   * JVM alive). A call ([[run]]) is one pass over root tasks that may queue
   * follow-up jobs, worked by the caller and pool threads together.
   */
-private[core] object DriverPool {
+private[repro] object DriverPool {
 
   private val pools = new ConcurrentHashMap[Int, ExecutorService]
 

@@ -1,7 +1,7 @@
 package repro.core
 
-import repro.graph.GraphData
-import repro.linalg.{LinEngine, LocalEngine}
+import repro.graph.{Csr, GraphData}
+import repro.linalg.LocalEngine
 
 /** Configuration for [[ExactSim]].
   *
@@ -74,7 +74,6 @@ final case class ExactSimResult(
     walkPairs: Long,
     edgesExplored: Long,
     hopVectorBytes: Long,
-    denseHopVectorBytes: Long,
     piNormSq: Double,
     millis: Long,
 )
@@ -82,36 +81,36 @@ final case class ExactSimResult(
 /** ExactSim (Algorithm 1 + §3.2 optimizations): probabilistic exact
   * single-source SimRank.
   *
-  * Pipeline per query:
-  *  1. forward pass — ℓ-hop PPR vectors `π_i^ℓ` on the [[LinEngine]]
-  *     (by default mat-vecs on the driver-side CSR), truncated if sparse
-  *     Linearization is on;
+  * Pipeline per query, all on the driver-side CSR:
+  *  1. forward pass — ℓ-hop PPR vectors `π_i^ℓ` by mat-vecs on the CSR,
+  *     truncated if sparse Linearization is on;
   *  2. sample allocation — `R(k) = ⌈R·π_i(k)⌉` or `⌈R·π_i(k)²/‖π_i‖²⌉`;
-  *  3. D̂ estimation — Algorithm 2 or Algorithm 3 over distributed √c-walks;
+  *  3. D̂ estimation — Algorithm 2 or Algorithm 3, one task per node on the
+  *     driver's thread pool ([[DiagEstimator.localExploit]]);
   *  4. backward pass — fold `D̂·π_i^ℓ` through `√c·Pᵀ` (eq. 8).
   */
 object ExactSim {
 
-  /** @param engine mat-vec engine for the forward and backward passes;
-    *               defaults to a [[LocalEngine]] over `graph.csr`
+  /** The query on `graph.csr`, with D̂ on [[DriverPool.size]] threads. */
+  def singleSource(graph: GraphData, source: Int, conf: ExactSimConf): ExactSimResult =
+    singleSource(graph.csr, source, conf, DriverPool.size(graph.spark.sparkContext))
+
+  /** The query on `csr`, with D̂ on `threads` threads; the thread count does
+    * not change the result.
     */
-  def singleSource(graph: GraphData, source: Int, conf: ExactSimConf,
-                   engine: Option[LinEngine] = None): ExactSimResult = {
-    Linearized.requireSource(source, graph.n)
+  def singleSource(csr: Csr, source: Int, conf: ExactSimConf, threads: Int): ExactSimResult = {
+    Linearized.requireSource(source, csr.n)
     val t0 = System.nanoTime()
-    val eng = engine.getOrElse(new LocalEngine(graph.csr))
+    val eng = new LocalEngine(csr)
     val fwd = Linearized.forward(eng, source, conf.c, conf.iterations, conf.truncationThreshold)
 
-    val r = conf.totalSamples(graph.n)
-    val tasks = allocate(fwd.pi, r, conf.piSquared)
+    val tasks = allocate(fwd.pi, conf.totalSamples(csr.n), conf.piSquared)
+    val diag = DiagEstimator.localExploit(csr, tasks, conf.c, conf.seed,
+      if (conf.localExploit) DiagEstimator.MaxLevel else 0, threads)
 
-    val diag = DiagEstimator.localExploit(graph.spark, graph.csrBroadcast, tasks, conf.c, conf.seed,
-      maxLevel = if (conf.localExploit) DiagEstimator.MaxLevel else 0)
-
-    val scores = Linearized.backward(eng, fwd, diag.dense(graph.csr, conf.c), conf.c)
+    val scores = Linearized.backward(eng, fwd, diag.dense(csr, conf.c), conf.c)
     scores(source) = 1.0 // S(i,i) = 1 by definition
-    ExactSimResult(scores, conf, diag.walkPairs, diag.edgesExplored,
-      fwd.hopBytes, fwd.denseBytes, fwd.piNormSq,
+    ExactSimResult(scores, conf, diag.walkPairs, diag.edgesExplored, fwd.hopBytes, fwd.piNormSq,
       (System.nanoTime() - t0) / 1000000)
   }
 

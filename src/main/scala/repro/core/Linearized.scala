@@ -9,9 +9,9 @@ import repro.linalg.{LinEngine, SparseVec}
   *
   * The forward pass produces the ℓ-hop PPR vectors (optionally truncated per
   * the sparse-Linearization optimization); the backward pass folds them with a
-  * diagonal `D̂` into the single-source SimRank vector. Both passes run on a
-  * pluggable [[LinEngine]]: the driver-side CSR by default, or the Spark
-  * dataflow that tests use as a cross-check.
+  * diagonal `D̂` into the single-source SimRank vector. Both passes take a
+  * [[LinEngine]]: the queries pass a `LocalEngine` over the driver-side CSR;
+  * the Spark dataflow (`SparkEngine`) is the oracle tests check it against.
   */
 object Linearized {
 
@@ -36,8 +36,6 @@ object Linearized {
     def piNormSq: Double = { var s = 0.0; var i = 0; while (i < pi.length) { s += pi(i) * pi(i); i += 1 }; s }
     /** Total heap bytes of the stored hop vectors (Table 3 accounting). */
     def hopBytes: Long = hops.map(_.bytes).sum
-    /** Bytes had the vectors been stored dense (basic ExactSim). */
-    def denseBytes: Long = hops.length.toLong * pi.length * 8
   }
 
   /** Compute π_i^ℓ for ℓ = 0..L and their sum.

@@ -2,14 +2,13 @@ package repro.core
 
 import java.util.SplittableRandom
 import java.util.concurrent.atomic.AtomicLongArray
-import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Csr
 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
-/** √c-walk simulation on the driver, and the MC baseline's walk index on Spark.
+/** √c-walk simulation on the driver: the pair-walk kernel behind every D̂
+  * estimate.
   *
   * A √c-walk moves to a uniform random in-neighbor with probability √c and
   * stops otherwise; it also stops (forcedly) at a node with no in-neighbors.
@@ -18,18 +17,15 @@ import scala.collection.mutable
   * one joint stop test per step (both continue with probability c) and both
   * walks' in-neighbors from one `nextLong` ([[repro.graph.Csr.stepWith]]).
   *
-  * Two kernels: the pair-walk kernel behind every D̂ estimate ([[poolPass]],
-  * also reached through [[pairMeetCounts]]), and [[walkIndex]], the MC
-  * baseline's walk index (a Spark pass over the broadcast CSR). D̂ work runs
-  * on the driver's thread pool over the driver-side CSR: each task is
-  * planned into [[Item]]s and its items queued in one [[poolPass]] as soon
-  * as its forced prefix is known. A task without a forced prefix is cut into
-  * chunks of at most [[ChunkSize]] pairs. The forced prefix of an
-  * Algorithm-3 task is drawn in aggregate: the pairs that stand on one state
-  * are split over its successor states in one exact draw ([[Splitter]]),
-  * and only the groups that splitting no longer pays for are walked pair by
-  * pair. RNG streams are seeded per (node, item), so results are
-  * reproducible for a fixed seed regardless of the thread count.
+  * D̂ work runs in one [[poolPass]] on the driver's thread pool over the
+  * driver-side CSR: each task is planned into [[Item]]s and its items
+  * queued as soon as its forced prefix is known. A task without a forced
+  * prefix is cut into chunks of at most [[ChunkSize]] pairs. The forced
+  * prefix of an Algorithm-3 task is drawn in aggregate: the pairs that
+  * stand on one state are split over its successor states in one exact draw
+  * ([[Splitter]]), and only the groups that splitting no longer pays for are
+  * walked pair by pair. RNG streams are seeded per (node, item), so results
+  * are reproducible for a fixed seed regardless of the thread count.
   */
 object Walks {
 
@@ -42,9 +38,6 @@ object Walks {
     */
   val MinPairsPerCell: Long = 4L
 
-  /** Per-node totals of a D̂ sampling task: how many of `pairs` pair-walks met. */
-  final case class MeetCount(node: Int, pairs: Long, meets: Long)
-
   /** One unit of D̂ tail work: `pairs` samples of `node`'s task that stand on
     * the state (a, b) after `depth` of the task's `prefix` forced steps, drawn
     * from the stream `mix(seed, node, stream)`. A task without a forced
@@ -52,29 +45,6 @@ object Walks {
     * chunk)`.
     */
   final case class Item(node: Int, a: Int, b: Int, depth: Int, prefix: Int, pairs: Long, stream: Int)
-
-  /** D̂ tail sampling (Algorithm 3, and Algorithm 2 at prefix 0): input
-    * (node, pairs, prefixLen); output per-node totals. A pair counts as a
-    * meet iff the walks survive `prefixLen` forced (non-stopping) steps
-    * without meeting or dying and the subsequent √c-walks meet. The caller
-    * scales by `c^prefixLen`; at prefix 0 the meet fraction's complement is
-    * the Algorithm-2 estimate of D(k,k).
-    *
-    * The tasks run as one [[poolPass]] with the prefixes given, on the
-    * driver's pool of [[DriverPool.size]] threads; no Spark job starts. The
-    * per-item counts are summed per node, and `pairs` comes from the task
-    * list. A node none of whose tasks planned an item is left out.
-    */
-  def pairMeetCounts(spark: SparkSession, csr: Broadcast[Csr], tasks: Seq[(Int, Long, Int)],
-                     c: Double, seed: Long): Map[Int, MeetCount] = {
-    val todo = tasks.map { case (node, pairs, _) => (node, pairs) }.toIndexedSeq
-    val prefixes = tasks.map(_._3).toArray
-    todo.foreach { case (node, pairs) => requirePlannable(node, pairs) }
-    val meets = poolPass(csr.value, todo, c, seed, DriverPool.size(spark.sparkContext))(prefixes(_))
-    val pairsOf = todo.groupMapReduce(_._1)(_._2)(_ + _)
-    todo.indices.filter(meets(_) >= 0).groupMapReduce(todo(_)._1)(meets(_))(_ + _)
-      .map { case (node, m) => node -> MeetCount(node, pairsOf(node), m) }
-  }
 
   /** D̂'s tail on the driver's pool of `threads` threads, as one
     * [[DriverPool.run]] pass with one root per task, largest `pairs` first
@@ -306,38 +276,6 @@ object Walks {
       if (a == b) return true
     }
     false
-  }
-
-  /** MC-index walk trace row: node's r-th √c-walk visited `pos` at `step`. */
-  final case class WalkPos(node: Long, walk: Int, step: Int, pos: Long)
-
-  /** Build the Fogaras–Rácz walk index: `r` √c-walks from every node, stored
-    * as a (node, walk, step, pos) DataFrame including step 0. This is the MC
-    * baseline's index; its row count × 28 bytes is its index size.
-    */
-  def walkIndex(spark: SparkSession, csr: Broadcast[Csr], n: Int, r: Int,
-                c: Double, seed: Long): DataFrame = {
-    import spark.implicits._
-    val parts = math.min(256, math.max(spark.sparkContext.defaultParallelism, n * r / 200000 + 1))
-    spark.range(0, n.toLong, 1, parts).as[Long].mapPartitions { it =>
-      val g = csr.value
-      val sqrtC = math.sqrt(c)
-      it.flatMap { node =>
-        val rng = new SplittableRandom(mix(seed, node.toInt, 0))
-        (0 until r).iterator.flatMap { w =>
-          var pos = node.toInt
-          var step = 0
-          val buf = scala.collection.mutable.ArrayBuffer(WalkPos(node, w, 0, pos))
-          var alive = true
-          while (alive && rng.nextDouble() < sqrtC) {
-            pos = g.step(pos, rng)
-            if (pos < 0) alive = false
-            else { step += 1; buf += WalkPos(node, w, step, pos) }
-          }
-          buf
-        }
-      }
-    }.toDF()
   }
 
   /** Splitmix-style seed mixing so per-task streams are independent. */

@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{ExactSim, ExactSimConf, Linearized}
+import repro.core.{ExactSim, ExactSimConf}
 import repro.graph.GraphData
 
 /** The paper's experiment programs, one per table (DESIGN.md §5). Scale knobs
@@ -55,9 +55,8 @@ object Experiments {
       val g = sp.generate(spark)
       val src = Harness.querySources(g, 1).head
       val res = ExactSim.singleSource(g, src, ExactSimConf.optimized(epsMin, alpha))
-      val basicL = Linearized.iterationsFor(Harness.C, epsMin) // basic: no ε/2 split
-      val basicBytes = (basicL + 1).toLong * g.n * 8
-      val row = MemoryModel.Row(sp.key, basicBytes, res.hopVectorBytes, g.graphBytes)
+      val row = MemoryModel.Row(sp.key, MemoryModel.basicBytes(g.n, Harness.C, epsMin), res.hopVectorBytes,
+        g.graphBytes)
       g.unpersistAll()
       row
     }

@@ -163,7 +163,7 @@ object Harness {
       val planned = PrSim.indexTasks(pr, eps, alpha).map(_._2).sum
       if (planned > maxWalkPairs) skipped(graph.name, "PRSim", f"eps=$eps%.0e", "walk budget")
       else {
-        val idx = PrSim.buildIndex(graph, C, eps, alpha, seed = 83, precomputedPr = Some(pr))
+        val idx = PrSim.buildIndex(graph, pr, C, eps, alpha, seed = 83)
         val runs = sources.map { src =>
           val res = PrSim.singleSource(graph, src, idx, C, eps)
           (src, res.scores, res.millis.toDouble)

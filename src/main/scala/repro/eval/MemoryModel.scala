@@ -1,7 +1,6 @@
 package repro.eval
 
-import repro.core.ExactSimResult
-import repro.graph.GraphData
+import repro.core.Linearized
 
 /** Memory accounting for the paper's Table 3.
   *
@@ -19,8 +18,10 @@ object MemoryModel {
     def basicOverOptimized: Double = basicBytes.toDouble / optimizedBytes
   }
 
-  def fromRun(graph: GraphData, optimized: ExactSimResult): Row =
-    Row(graph.name, optimized.denseHopVectorBytes, optimized.hopVectorBytes, graph.graphBytes)
+  /** Basic ExactSim's hop vectors at ε on `n` nodes: `L(ε) + 1` dense
+    * vectors of `n` doubles (basic ExactSim does not split ε).
+    */
+  def basicBytes(n: Int, c: Double, eps: Double): Long = (Linearized.iterationsFor(c, eps) + 1).toLong * n * 8
 
   def fmtMB(bytes: Long): String = f"${bytes / 1048576.0}%.2f"
 }

@@ -5,9 +5,10 @@ import java.util.SplittableRandom
 /** Compact in-adjacency of a directed graph in CSR form.
   *
   * SimRank walks move to a uniform random **in**-neighbor, so the only
-  * adjacency the algorithms need is `I(v)`. The structure is immutable and
-  * small enough (two int arrays) to broadcast to Spark executors for
-  * distributed √c-walk simulation and for Algorithm 3's local exploitation.
+  * adjacency the algorithms need is `I(v)`. The structure is immutable: two
+  * int arrays on the driver, which D̂'s walks, Algorithm 3's local
+  * exploitation and the mat-vecs read; the MC baseline broadcasts it to the
+  * Spark executors for its walk index.
   *
   * @param n     number of nodes, ids are `0 until n`
   * @param inOff offsets into `inAdj`; in-neighbors of `v` are

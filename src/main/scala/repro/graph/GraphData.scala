@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -13,11 +12,9 @@ import org.apache.spark.sql.functions._
   * The class derives, lazily and cached:
   *  - `pEdges`: edges weighted by `w = 1/d_in(dst)` — the nonzeros of the
   *    reverse transition matrix `P` (`P(i,j) = 1/d_in(j)` for `i∈I(j)`);
-  *  - `csr`: a driver-side CSR of in-adjacency, for walk simulation and
-  *    the default mat-vec engine (collected once; graphs here are ≤ a few M
-  *    edges);
-  *  - `csrBroadcast`: that CSR broadcast to the executors, once per graph,
-  *    for the MC baseline's walk index.
+  *  - `csr`: a driver-side CSR of in-adjacency, collected once (graphs here
+  *    are ≤ a few M edges). ExactSim and the linearized baselines run on it
+  *    alone: its mat-vecs and D̂'s walks.
   */
 final class GraphData(val spark: SparkSession, val name: String, val n: Int, rawEdges: DataFrame) {
 
@@ -50,10 +47,9 @@ final class GraphData(val spark: SparkSession, val name: String, val n: Int, raw
     p
   }
 
-  /** Driver-side CSR of the same graph (for walks and the default mat-vec
-    * engine). Every id must lie in `[0, n)`; it is checked on the `Long`
-    * value, before it is narrowed to an `Int`, so an id ≥ 2³¹ cannot wrap
-    * onto a valid node.
+  /** Driver-side CSR of the same graph (for walks and mat-vecs). Every id
+    * must lie in `[0, n)`; it is checked on the `Long` value, before it is
+    * narrowed to an `Int`, so an id ≥ 2³¹ cannot wrap onto a valid node.
     */
   lazy val csr: Csr = {
     def id(src: Long, dst: Long, v: Long): Int = {
@@ -65,13 +61,6 @@ final class GraphData(val spark: SparkSession, val name: String, val n: Int, raw
       .map { r => val (s, d) = (r.getLong(0), r.getLong(1)); (id(s, d, s), id(s, d, d)) }
     Csr.fromEdges(n, pairs.toIndexedSeq)
   }
-
-  /** The CSR as one broadcast, shipped to the executors only by the MC
-    * baseline's walk index ([[repro.core.Walks.walkIndex]]); D̂ reads its
-    * value on the driver. It is never destroyed explicitly: Spark's
-    * ContextCleaner releases it once this `GraphData` is unreachable.
-    */
-  lazy val csrBroadcast: Broadcast[Csr] = spark.sparkContext.broadcast(csr)
 
   /** Approximate in-memory size of the edge list in bytes (two 4-byte ids per
     * directed edge) — the "Graph size" row of the paper's Table 3.

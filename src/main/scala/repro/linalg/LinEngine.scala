@@ -17,8 +17,8 @@ trait LinEngine {
   def mulPT(x: Array[Double]): Array[Double]
 }
 
-/** Driver-side engine over the CSR every query already holds: the default
-  * engine of ExactSim and the linearized baselines. One product is a single
+/** Driver-side engine over the CSR every query already holds: the engine
+  * ExactSim and the linearized baselines run on. One product is a single
   * pass over the in-adjacency, with no Spark job.
   */
 final class LocalEngine(csr: Csr) extends LinEngine {

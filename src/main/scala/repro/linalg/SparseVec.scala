@@ -20,19 +20,9 @@ final case class SparseVec(n: Int, ids: Array[Int], vals: Array[Double]) {
     d
   }
 
-  def l1: Double = { var s = 0.0; var i = 0; while (i < nnz) { s += math.abs(vals(i)); i += 1 }; s }
-
   def apply(id: Int): Double = {
     val p = java.util.Arrays.binarySearch(ids, id)
     if (p >= 0) vals(p) else 0.0
-  }
-
-  def scale(a: Double): SparseVec = SparseVec(n, ids, vals.map(_ * a))
-
-  /** Drop entries with value ≤ threshold (sparse Linearization truncation). */
-  def truncate(threshold: Double): SparseVec = {
-    val keep = ids.indices.filter(i => vals(i) > threshold)
-    SparseVec(n, keep.map(ids).toArray, keep.map(vals).toArray)
   }
 }
 
@@ -42,9 +32,4 @@ object SparseVec {
     val keep = x.indices.filter(i => math.abs(x(i)) > zeroTol)
     SparseVec(x.length, keep.toArray, keep.map(x).toArray)
   }
-
-  def unit(n: Int, id: Int, value: Double = 1.0): SparseVec =
-    SparseVec(n, Array(id), Array(value))
-
-  def zeros(n: Int): SparseVec = SparseVec(n, Array.empty, Array.empty)
 }

@@ -49,6 +49,22 @@ class McSimSpec extends SimTestKit {
     assert(errs(1) < errs(0), s"errors $errs")
   }
 
+  test("an out-of-range source fails fast with its id and n") {
+    val idx = McSim.buildIndex(rnd40, C, r = 2, seed = 7)
+    for (src <- Seq(-1, rnd40.n)) {
+      var e: IllegalArgumentException = null
+      val jobs = jobsDuring { e = intercept[IllegalArgumentException](McSim.singleSource(rnd40, src, idx)) }
+      assert(e.getMessage.contains(s"source $src") && e.getMessage.contains(s"${rnd40.n}"))
+      assert(jobs == 0, s"$jobs Spark jobs before the check")
+    }
+    idx.unpersist()
+  }
+
+  test("an index of no walks per node is rejected") {
+    val e = intercept[IllegalArgumentException](McSim.buildIndex(rnd40, C, r = 0))
+    assert(e.getMessage.contains("got 0"), e.getMessage)
+  }
+
   test("source similarity is pinned to 1") {
     val idx = McSim.buildIndex(rnd40, C, r = 50, seed = 6)
     assert(McSim.singleSource(rnd40, 3, idx).scores(3) == 1.0)

@@ -2,7 +2,6 @@ package repro.baselines
 
 import repro.SimTestKit
 import repro.eval.Metrics
-import repro.linalg.SparkEngine
 
 class ParSimSpec extends SimTestKit {
 
@@ -42,12 +41,10 @@ class ParSimSpec extends SimTestKit {
     assert(prec >= 0.8, s"precision@10 $prec")
   }
 
-  test("deterministic and engine-independent") {
+  test("deterministic") {
     val g = rnd40
     val a = ParSim.singleSource(g, 3, C, 15).scores
-    val b = ParSim.singleSource(g, 3, C, 15, Some(new SparkEngine(g))).scores
     assert(a.toSeq == ParSim.singleSource(g, 3, C, 15).scores.toSeq)
-    assertVecNear(b, a, 1e-12, "Spark vs default engine")
   }
 
   test("an out-of-range source fails fast with its id and n") {

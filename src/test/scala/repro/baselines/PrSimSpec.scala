@@ -1,10 +1,17 @@
 package repro.baselines
 
 import repro.SimTestKit
+import repro.core.Linearized
 import repro.eval.Metrics
-import repro.linalg.{LocalEngine, SparkEngine}
+import repro.linalg.LocalEngine
 
 class PrSimSpec extends SimTestKit {
+
+  private def pageRank(g: repro.graph.GraphData, eps: Double) =
+    PrSim.globalPageRank(g, C, Linearized.iterationsFor(C, eps))
+
+  private def plannedPairs(g: repro.graph.GraphData, eps: Double, alpha: Double) =
+    PrSim.indexTasks(pageRank(g, eps), eps, alpha).map(_._2).sum
 
   test("globalPageRank is the average of the PPR vectors") {
     val g = rnd40
@@ -14,7 +21,7 @@ class PrSimSpec extends SimTestKit {
     // Average the per-source PPR vectors computed independently.
     val avg = new Array[Double](g.n)
     (0 until g.n).foreach { s =>
-      val fwd = repro.core.Linearized.forward(eng, s, C, iters)
+      val fwd = Linearized.forward(eng, s, C, iters)
       (0 until g.n).foreach(k => avg(k) += fwd.pi(k) / g.n)
     }
     assertVecNear(pr, avg, 1e-9, "global PageRank")
@@ -29,7 +36,7 @@ class PrSimSpec extends SimTestKit {
   test("queries with the sampled index match ground truth within tolerance") {
     val g = rnd60u
     val truth = groundTruth(g)
-    val idx = PrSim.buildIndex(g, C, eps = 0.05, alpha = 8.0, seed = 1)
+    val idx = PrSim.buildIndex(g, pageRank(g, 0.05), C, eps = 0.05, alpha = 8.0, seed = 1)
     val res = PrSim.singleSource(g, 3, idx, C, eps = 0.05)
     val err = Metrics.maxError(res.scores, truth(3))
     assert(err < 0.08, s"maxErr $err")
@@ -43,10 +50,10 @@ class PrSimSpec extends SimTestKit {
     assertVecNear(res.scores, truth(8), 1e-7, "PRSim with exact D")
   }
 
-  test("plannedPairs matches the built index's walk count") {
+  test("the index tasks' pairs bound the built index's walk count") {
     val g = rnd80
-    val planned = PrSim.plannedPairs(g, C, eps = 0.2, alpha = 2.0)
-    val idx = PrSim.buildIndex(g, C, eps = 0.2, alpha = 2.0, seed = 2)
+    val planned = plannedPairs(g, eps = 0.2, alpha = 2.0)
+    val idx = PrSim.buildIndex(g, pageRank(g, 0.2), C, eps = 0.2, alpha = 2.0, seed = 2)
     // Planned counts every support node; the build skips trivial-D nodes.
     assert(idx.walkPairs <= planned)
     assert(planned > 0)
@@ -54,21 +61,17 @@ class PrSimSpec extends SimTestKit {
 
   test("preprocessing cost scales with n·‖π̄‖²/ε² (the §2.2 obstacle)") {
     val g = rnd80
-    val coarse = PrSim.plannedPairs(g, C, eps = 0.2, alpha = 2.0)
-    val fine = PrSim.plannedPairs(g, C, eps = 0.02, alpha = 2.0)
+    val coarse = plannedPairs(g, eps = 0.2, alpha = 2.0)
+    val fine = plannedPairs(g, eps = 0.02, alpha = 2.0)
     assert(fine > 50 * coarse, s"fine $fine vs coarse $coarse") // 100× in theory, ceil noise
   }
 
-  test("deterministic and engine-independent") {
+  test("deterministic") {
     val g = rnd40
-    val sparkEng = Some(new SparkEngine(g))
-    assertVecNear(PrSim.globalPageRank(g, C, 10, sparkEng), PrSim.globalPageRank(g, C, 10),
-      1e-12, "global PageRank: Spark vs default engine")
+    assert(PrSim.globalPageRank(g, C, 10).toSeq == PrSim.globalPageRank(g, C, 10).toSeq)
     val idx = PrSim.Index(exactD(g), 0L, 0.0, 0L)
     val a = PrSim.singleSource(g, 8, idx, C, eps = 0.05).scores
     assert(a.toSeq == PrSim.singleSource(g, 8, idx, C, eps = 0.05).scores.toSeq)
-    assertVecNear(PrSim.singleSource(g, 8, idx, C, eps = 0.05, sparkEng).scores, a,
-      1e-12, "query: Spark vs default engine")
   }
 
   test("an out-of-range source fails fast with its id and n") {

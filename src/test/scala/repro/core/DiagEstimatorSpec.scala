@@ -11,6 +11,8 @@ import scala.reflect.ClassTag
 
 class DiagEstimatorSpec extends SimTestKit {
 
+  private lazy val threads = DriverPool.size(spark.sparkContext)
+
   private def bits(r: DiagEstimator.DiagResult) =
     (r.dhat.map { case (k, v) => k -> java.lang.Double.doubleToRawLongBits(v) }, r.walkPairs, r.edgesExplored)
 
@@ -34,7 +36,7 @@ class DiagEstimatorSpec extends SimTestKit {
       val g = battery.find(_.name == name).get
       val d = exactD(g)
       val tasks = (0 until g.n).map(k => k -> 30000L)
-      val res = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 21, maxLevel = 0)
+      val res = DiagEstimator.localExploit(g.csr, tasks, C, 21, 0, threads)
       assert(res.edgesExplored == 0L)
       (0 until g.n).foreach { k =>
         assert(math.abs(res.dhat(k) - d(k)) < 0.02,
@@ -43,8 +45,7 @@ class DiagEstimatorSpec extends SimTestKit {
     }
 
   test("basic returns exact values for trivial nodes without sampling") {
-    val res = DiagEstimator.localExploit(spark, pair.csrBroadcast, Seq(0 -> 10L, 1 -> 10L, 2 -> 10L), C, seed = 1,
-      maxLevel = 0)
+    val res = DiagEstimator.localExploit(pair.csr, Seq(0 -> 10L, 1 -> 10L, 2 -> 10L), C, 1, 0, threads)
     assert(res.dhat(2) == 1.0 && res.dhat(0) == 1.0 - C && res.dhat(1) == 1.0 - C)
     assert(res.walkPairs == 0L)
   }
@@ -54,7 +55,7 @@ class DiagEstimatorSpec extends SimTestKit {
       val g = battery.find(_.name == name).get
       val d = exactD(g)
       (0 until g.n).foreach { k =>
-        val est = DiagEstimator.exactByRecursion(g.csr, k, C, depth = 25)
+        val est = 1.0 - DiagEstimator.deterministicPhase(g.csr, k, Long.MaxValue, C, 25).zSum
         assert(math.abs(est - d(k)) <= math.pow(C, 25) + 1e-9,
           s"${g.name} D($k): $est vs ${d(k)}")
       }
@@ -65,8 +66,9 @@ class DiagEstimatorSpec extends SimTestKit {
     val g = rnd40
     val d = exactD(g)
     val k = (0 until g.n).find(v => g.csr.inDeg(v) >= 2).get
-    val shallow = DiagEstimator.exactByRecursion(g.csr, k, C, depth = 3)
-    val deep = DiagEstimator.exactByRecursion(g.csr, k, C, depth = 20)
+    def dhat(depth: Int) = 1.0 - DiagEstimator.deterministicPhase(g.csr, k, Long.MaxValue, C, depth).zSum
+    val shallow = dhat(3)
+    val deep = dhat(20)
     assert(shallow >= deep - 1e-12, "deeper recursion can only move D̂ down")
     assert(deep >= d(k) - 1e-9, "partial Z-sums cannot overshoot the true meet mass")
   }
@@ -77,7 +79,7 @@ class DiagEstimatorSpec extends SimTestKit {
       val d = exactD(g)
       val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).take(6)
       ks.foreach { k =>
-        val res = DiagEstimator.localExploit(spark, g.csrBroadcast, Seq(k -> 20000L), C, seed = 77 + k)
+        val res = DiagEstimator.localExploit(g.csr, Seq(k -> 20000L), C, 77 + k, DiagEstimator.MaxLevel, threads)
         assert(res.walkPairs == 20000L)
         assert(math.abs(res.dhat(k) - d(k)) < 0.02, s"${g.name} D($k): ${res.dhat(k)} vs ${d(k)}")
       }
@@ -88,7 +90,7 @@ class DiagEstimatorSpec extends SimTestKit {
     for (g <- Seq(rnd60u, star8, rnd40, rnd80)) {
       val d = exactD(g)
       val tasks = (0 until g.n).map(k => k -> 20000L)
-      val res = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 31)
+      val res = DiagEstimator.localExploit(g.csr, tasks, C, 31, DiagEstimator.MaxLevel, threads)
       (0 until g.n).foreach { k =>
         assert(math.abs(res.dhat(k) - d(k)) < 0.02, s"${g.name} D($k): ${res.dhat(k)} vs ${d(k)}")
       }
@@ -144,9 +146,9 @@ class DiagEstimatorSpec extends SimTestKit {
       val fwd = Linearized.forward(new LocalEngine(gq.csr), source, C, conf.iterations, conf.truncationThreshold)
       val tasks = ExactSim.allocate(fwd.pi, conf.totalSamples(gq.n), conf.piSquared)
       assert(tasks.map(_._2).max >= 100000L, s"source $source: no task reaches 1e5 pairs")
-      val one = bits(DiagEstimator.localExploitOn(gq.csr, tasks, C, conf.seed, DiagEstimator.MaxLevel, 1))
-      val all = DiagEstimator.localExploit(spark, gq.csrBroadcast, tasks, C, conf.seed)
-      assert(one == bits(all), s"source $source: 1 thread vs ${DriverPool.size(spark.sparkContext)}")
+      val one = bits(DiagEstimator.localExploit(gq.csr, tasks, C, conf.seed, DiagEstimator.MaxLevel, 1))
+      val all = DiagEstimator.localExploit(gq.csr, tasks, C, conf.seed, DiagEstimator.MaxLevel, threads)
+      assert(one == bits(all), s"source $source: 1 thread vs $threads")
       assert(one == bits(ReferenceDiag.localExploit(gq.csr, tasks, C, conf.seed, DiagEstimator.MaxLevel)),
         s"source $source: 1 thread vs the serial reference")
     }
@@ -155,8 +157,8 @@ class DiagEstimatorSpec extends SimTestKit {
   test("localExploit reports deterministic edge exploration") {
     val g = rnd40
     val tasks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).map(k => k -> 1000L)
-    val a = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 5)
-    val b = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 5)
+    val a = DiagEstimator.localExploit(g.csr, tasks, C, 5, DiagEstimator.MaxLevel, threads)
+    val b = DiagEstimator.localExploit(g.csr, tasks, C, 5, DiagEstimator.MaxLevel, threads)
     assert(a.dhat == b.dhat)
     assert(a.edgesExplored == b.edgesExplored && a.edgesExplored > 0)
   }
@@ -178,8 +180,8 @@ class DiagEstimatorSpec extends SimTestKit {
     val d = exactD(g)
     val ks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2)
     val tasks = ks.map(k => k -> 300L)
-    val alg2 = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 13, maxLevel = 0)
-    val alg3 = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 13)
+    val alg2 = DiagEstimator.localExploit(g.csr, tasks, C, 13, 0, threads)
+    val alg3 = DiagEstimator.localExploit(g.csr, tasks, C, 13, DiagEstimator.MaxLevel, threads)
     def sse(m: Map[Int, Double]) = ks.map(k => math.pow(m(k) - d(k), 2)).sum
     assert(sse(alg3.dhat) < sse(alg2.dhat),
       s"alg3 sse ${sse(alg3.dhat)} should beat alg2 sse ${sse(alg2.dhat)}")
@@ -189,7 +191,7 @@ class DiagEstimatorSpec extends SimTestKit {
     val g = rnd80
     val tasks = (0 until g.n).filter(v => g.csr.inDeg(v) >= 2).map(k => k -> 500L)
     var zero: DiagEstimator.DiagResult = null
-    val jobs = jobsDuring { zero = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed = 7, maxLevel = 0) }
+    val jobs = jobsDuring { zero = DiagEstimator.localExploit(g.csr, tasks, C, 7, 0, threads) }
     assert(jobs == 0, s"$jobs Spark jobs")
     assert(zero.edgesExplored == 0L && zero.walkPairs == tasks.map(_._2).sum)
   }
@@ -204,7 +206,7 @@ class DiagEstimatorSpec extends SimTestKit {
     var biggest = 0L
     def same(g: GraphData, what: String, tasks: Seq[(Int, Long)], maxLevel: Int, seed: Long): Unit = {
       biggest = math.max(biggest, tasks.map(_._2).max)
-      val pool = DiagEstimator.localExploit(spark, g.csrBroadcast, tasks, C, seed, maxLevel)
+      val pool = DiagEstimator.localExploit(g.csr, tasks, C, seed, maxLevel, threads)
       val serial = ReferenceDiag.localExploit(g.csr, tasks, C, seed, maxLevel)
       assert(bits(pool) == bits(serial), s"${g.name} $what: the pool and the serial reference differ")
       assert(pool.walkPairs == tasks.filter { case (k, _) => g.csr.inDeg(k) >= 2 }.map(_._2).sum)
@@ -227,30 +229,32 @@ class DiagEstimatorSpec extends SimTestKit {
   }
 
   test("D̂ and scores on 1, 2, 3 and all threads equal the serial reference") {
-    // GQ-lite queries at ε = 1e-2 (α = 20 gives tasks of several items) and
-    // battery queries, basic and optimized: D̂'s raw bits, its counts and the
-    // backward pass's scores must not depend on the thread count.
+    // Whole ExactSim queries on the CSR, basic and optimized at ε = 1e-2 on
+    // GQ-lite and the battery (α = 20 gives GQ-lite tasks of several items):
+    // the scores' raw bits and D̂'s counts must not depend on the thread
+    // count. The reference folds the serial D̂ through the same passes.
     val gq = Datasets.byKey("GQ-lite").generate(spark)
-    val cases =
-      (for (alpha <- Seq(1.0, 20.0)) yield gq -> ExactSimConf.optimized(1e-2, alpha, seed = 21)) ++
-        (for (g <- battery; conf <- Seq(ExactSimConf.basic(1e-2, 1.0, seed = 21),
-          ExactSimConf.optimized(1e-2, 1.0, seed = 21))) yield g -> conf)
     val dp = spark.sparkContext.defaultParallelism
     var multiItem = false
-    for ((g, conf) <- cases; source <- Harness.querySources(g, 2)) {
+    for (g <- battery :+ gq; alpha <- Seq(1.0, 20.0);
+         conf <- Seq(ExactSimConf.basic(1e-2, alpha, seed = 21), ExactSimConf.optimized(1e-2, alpha, seed = 21));
+         source <- Harness.querySources(g, 2)) {
       val eng = new LocalEngine(g.csr)
       val fwd = Linearized.forward(eng, source, C, conf.iterations, conf.truncationThreshold)
       val tasks = ExactSim.allocate(fwd.pi, conf.totalSamples(g.n), conf.piSquared)
-      multiItem ||= tasks.exists { case (k, rk) => rk > Walks.ChunkSize && DiagEstimator.trivial(g.csr, k, C).isEmpty }
-      val maxLevel = if (conf.localExploit) DiagEstimator.MaxLevel else 0
-      def out(d: DiagEstimator.DiagResult) = {
-        val scores = Linearized.backward(eng, fwd, d.dense(g.csr, C), C)
-        (bits(d), scores.map(java.lang.Double.doubleToRawLongBits).toSeq)
+      multiItem ||= g == gq &&
+        tasks.exists { case (k, rk) => rk > Walks.ChunkSize && DiagEstimator.trivial(g.csr, k, C).isEmpty }
+      val ref = ReferenceDiag.localExploit(g.csr, tasks, C, conf.seed, if (conf.localExploit) DiagEstimator.MaxLevel else 0)
+      val scores = Linearized.backward(eng, fwd, ref.dense(g.csr, C), C)
+      scores(source) = 1.0
+      def out(scores: Array[Double], walkPairs: Long, edges: Long) =
+        (scores.map(java.lang.Double.doubleToRawLongBits).toSeq, walkPairs, edges)
+      val want = out(scores, ref.walkPairs, ref.edgesExplored)
+      for (threads <- Seq(1, 2, 3, dp)) {
+        val r = ExactSim.singleSource(g.csr, source, conf, threads)
+        assert(out(r.scores, r.walkPairs, r.edgesExplored) == want,
+          s"${g.name} source $source, α = $alpha, localExploit=${conf.localExploit}: $threads threads vs the serial reference")
       }
-      val want = out(ReferenceDiag.localExploit(g.csr, tasks, C, conf.seed, maxLevel))
-      for (threads <- Seq(1, 2, 3, dp))
-        assert(out(DiagEstimator.localExploitOn(g.csr, tasks, C, conf.seed, maxLevel, threads)) == want,
-          s"${g.name} source $source, localExploit=${conf.localExploit}: $threads threads vs the serial reference")
     }
     assert(multiItem, "no GQ-lite task spans several items")
   }
@@ -259,7 +263,7 @@ class DiagEstimatorSpec extends SimTestKit {
     val tasks = Seq(0 -> 10L, 1 -> 10L, 2 -> 10L) // pair: in-degrees 1, 1 and 0
     val before = DriverPool.passes
     var res: DiagEstimator.DiagResult = null
-    val jobs = jobsDuring { res = DiagEstimator.localExploit(spark, pair.csrBroadcast, tasks, C, 1L) }
+    val jobs = jobsDuring { res = DiagEstimator.localExploit(pair.csr, tasks, C, 1L, DiagEstimator.MaxLevel, threads) }
     assert(DriverPool.passes == before && jobs == 0)
     assert(res.walkPairs == 0L && res.dhat == Map(0 -> (1.0 - C), 1 -> (1.0 - C), 2 -> 1.0))
   }
@@ -271,7 +275,7 @@ class DiagEstimatorSpec extends SimTestKit {
     val before = DriverPool.passes
     var e: IllegalArgumentException = null
     val jobs = jobsDuring {
-      e = intercept[IllegalArgumentException](DiagEstimator.localExploit(spark, rnd40.csrBroadcast, tasks, C, 1L))
+      e = intercept[IllegalArgumentException](DiagEstimator.localExploit(rnd40.csr, tasks, C, 1L, DiagEstimator.MaxLevel, threads))
     }
     assert(e.getMessage.contains(s"node $hub") && e.getMessage.contains((1L << 45).toString), e.getMessage)
     assert(DriverPool.passes == before && jobs == 0, "work started")
@@ -280,7 +284,7 @@ class DiagEstimatorSpec extends SimTestKit {
   test("a node given two tasks is rejected") {
     val k = (0 until rnd40.n).find(rnd40.csr.inDeg(_) >= 2).get
     val e = intercept[IllegalArgumentException](
-      DiagEstimator.localExploit(spark, rnd40.csrBroadcast, Seq(k -> 10L, k -> 20L), C, seed = 1))
+      DiagEstimator.localExploit(rnd40.csr, Seq(k -> 10L, k -> 20L), C, 1, DiagEstimator.MaxLevel, threads))
     assert(e.getMessage.contains(s"node $k"), e.getMessage)
   }
 

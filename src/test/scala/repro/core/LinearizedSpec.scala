@@ -1,7 +1,8 @@
 package repro.core
 
 import repro.SimTestKit
-import repro.linalg.LocalEngine
+import repro.eval.MemoryModel
+import repro.linalg.{LinEngine, LocalEngine, SparkEngine}
 
 class LinearizedSpec extends SimTestKit {
 
@@ -20,7 +21,7 @@ class LinearizedSpec extends SimTestKit {
     val fwd = Linearized.forward(new LocalEngine(g.csr), 0, C, 12)
     fwd.hops.zipWithIndex.foreach { case (h, ell) =>
       val expect = (1 - sqrtC) * math.pow(sqrtC, ell)
-      assert(math.abs(h.l1 - expect) < 1e-12, s"hop $ell: ${h.l1} vs $expect")
+      assert(math.abs(h.vals.sum - expect) < 1e-12, s"hop $ell: ${h.vals.sum} vs $expect")
     }
   }
 
@@ -28,7 +29,7 @@ class LinearizedSpec extends SimTestKit {
     test(s"forward π sums the hop vectors and has mass ≤ 1 on $name") {
       val g = battery.find(_.name == name).get
       val fwd = Linearized.forward(new LocalEngine(g.csr), 0, C, 25)
-      val sum = fwd.hops.map(_.l1).sum
+      val sum = fwd.hops.map(_.vals.sum).sum
       assert(math.abs(fwd.pi.sum - sum) < 1e-9)
       assert(fwd.pi.sum <= 1.0 + 1e-9)
     }
@@ -83,8 +84,20 @@ class LinearizedSpec extends SimTestKit {
   }
 
   test("hop storage accounting: dense bytes = (L+1)·n·8") {
-    val fwd = Linearized.forward(new LocalEngine(rnd40.csr), 0, C, 9)
-    assert(fwd.denseBytes == 10L * rnd40.n * 8)
+    // Table 3's basic bytes are the L(ε) + 1 hops a dense forward pass stores.
+    val eps = 1e-2
+    val fwd = Linearized.forward(new LocalEngine(rnd40.csr), 0, C, Linearized.iterationsFor(C, eps))
+    assert(MemoryModel.basicBytes(rnd40.n, C, eps) == fwd.hops.length.toLong * rnd40.n * 8)
     assert(fwd.hopBytes == fwd.hops.map(_.bytes).sum)
+  }
+
+  test("forward then backward on SparkEngine equal LocalEngine on the battery") {
+    for (g <- battery) {
+      def scores(eng: LinEngine) = {
+        val fwd = Linearized.forward(eng, g.n / 2, C, 5)
+        Linearized.backward(eng, fwd, exactD(g), C)
+      }
+      assertVecNear(scores(new SparkEngine(g)), scores(new LocalEngine(g.csr)), 1e-12, s"${g.name}: Spark vs local")
+    }
   }
 }

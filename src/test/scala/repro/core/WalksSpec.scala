@@ -4,23 +4,29 @@ import java.util.SplittableRandom
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{Oracle, SimTestKit}
+import repro.baselines.McSim
 import repro.graph.Csr
 
 class WalksSpec extends SimTestKit {
 
   private val sqrtC = math.sqrt(C)
 
+  /** Meets of each `(node, pairs, prefix)` task, from one pool pass with
+    * the prefixes given (−1 for a task that planned no item).
+    */
+  private def meets(g: Csr, tasks: Seq[(Int, Long, Int)], seed: Long,
+                    threads: Int = spark.sparkContext.defaultParallelism): Seq[Long] =
+    Walks.poolPass(g, tasks.map(t => (t._1, t._2)).toIndexedSeq, C, seed, threads)(tasks(_)._3).toSeq
+
   test("pair-walks from the shared-parent sinks meet with probability c") {
     // From node 0 of `pair`, both walks step to node 2 iff both continue (c);
     // they then coincide ⇒ Pr[meet] = c exactly.
-    val res = Walks.pairMeetCounts(spark, pair.csrBroadcast, Seq((0, 40000L, 0)), C, seed = 1)
-    val frac = res(0).meets.toDouble / res(0).pairs
+    val frac = meets(pair.csr, Seq((0, 40000L, 0)), seed = 1).head.toDouble / 40000
     assert(math.abs(frac - C) < 0.01, s"meet fraction $frac vs $C")
   }
 
   test("pair-walks on a cycle meet with probability c (deterministic movement)") {
-    val res = Walks.pairMeetCounts(spark, cycle7.csrBroadcast, Seq((3, 40000L, 0)), C, seed = 2)
-    val frac = res(3).meets.toDouble / res(3).pairs
+    val frac = meets(cycle7.csr, Seq((3, 40000L, 0)), seed = 2).head.toDouble / 40000
     // Both walks move in lock-step; they "meet" at step 1 iff both continue.
     assert(math.abs(frac - C) < 0.01, s"meet fraction $frac vs $C")
   }
@@ -29,8 +35,7 @@ class WalksSpec extends SimTestKit {
     for (g <- Seq(rnd40, rnd60u)) {
       val d = exactD(g)
       val k = (0 until g.n).find(v => g.csr.inDeg(v) >= 2).get
-      val res = Walks.pairMeetCounts(spark, g.csrBroadcast, Seq((k, 60000L, 0)), C, seed = 3)
-      val est = 1.0 - res(k).meets.toDouble / res(k).pairs
+      val est = 1.0 - meets(g.csr, Seq((k, 60000L, 0)), seed = 3).head.toDouble / 60000
       assert(math.abs(est - d(k)) < 0.015, s"${g.name} node $k: $est vs ${d(k)}")
     }
   }
@@ -45,13 +50,13 @@ class WalksSpec extends SimTestKit {
       if (prefix == 3)
         assert(tasks.exists { case (k, r, l) => Walks.items(g.csr, k, r, l, 23).exists(_.depth > 0) },
           s"${g.name}: nothing was split")
-      val res = Walks.pairMeetCounts(spark, g.csrBroadcast, tasks, C, seed = 23)
+      val res = ks.zip(meets(g.csr, tasks, seed = 23)).toMap
       ks.foreach { k =>
         val want = 1.0 - d(k) - ReferencePhaseA.deterministicPhase(g.csr, k, Long.MaxValue, C, prefix).zSum
         val cl = math.pow(C, prefix)
         val p = want / cl
         val sigma = cl * math.sqrt(p * (1 - p) / pairs)
-        val got = cl * res(k).meets.toDouble / pairs
+        val got = cl * res(k).toDouble / pairs
         assert(math.abs(got - want) <= 5 * sigma + 1e-12, s"${g.name} node $k prefix $prefix: $got vs $want (σ $sigma)")
       }
     }
@@ -59,11 +64,13 @@ class WalksSpec extends SimTestKit {
 
   test("task chunking preserves requested totals across many nodes") {
     val tasks = Seq((0, 100L, 0), (1, 8192L, 0), (2, 8193L, 0), (3, 20000L, 0))
-    val res = Walks.pairMeetCounts(spark, rnd40.csrBroadcast, tasks, C, seed = 4)
-    tasks.foreach { case (k, r, _) => assert(res(k).pairs == r, s"node $k: ${res(k).pairs}") }
+    tasks.foreach { case (k, r, _) =>
+      val planned = Walks.items(rnd40.csr, k, r, 0, seed = 4).map(_.pairs).sum
+      assert(planned == r, s"node $k: $planned")
+    }
   }
 
-  test("pairMeetCounts equals a serial loop over the same (node, chunk) streams") {
+  test("poolPass equals a serial loop over the same (node, chunk) streams") {
     // The pool pass may not depend on how items land on threads: a serial
     // run of the per-item procedure over the same per-(node, item) RNG
     // streams gives the same counts. A task at prefix 0 is still its chunks,
@@ -78,33 +85,34 @@ class WalksSpec extends SimTestKit {
     val perItem = items.map(it => it.node -> Walks.itemMeets(g.csr, it, C, seed)).groupMapReduce(_._1)(_._2)(_ + _)
     val serial = tasks.map { case (k, pairs, prefix) =>
       if (prefix == 0) {
-        var meets = 0L
+        var met = 0L
         var chunk = 0
         var done = 0L
         while (done < pairs) {
           val rng = new SplittableRandom(Walks.mix(seed, k, chunk))
           val size = math.min(Walks.ChunkSize.toLong, pairs - done)
-          (0L until size).foreach { _ => if (Walks.simulateTailPairMeet(g.csr, k, k, 0, C, rng)) meets += 1 }
+          (0L until size).foreach { _ => if (Walks.simulateTailPairMeet(g.csr, k, k, 0, C, rng)) met += 1 }
           done += size
           chunk += 1
         }
-        assert(perItem(k) == meets, s"node $k: prefix-0 items are not its chunks")
+        assert(perItem(k) == met, s"node $k: prefix-0 items are not its chunks")
       }
-      k -> Walks.MeetCount(k, pairs, perItem(k))
-    }.toMap
-    var pool = Map.empty[Int, Walks.MeetCount]
-    val jobs = jobsDuring { pool = Walks.pairMeetCounts(spark, g.csrBroadcast, tasks, C, seed) }
+      perItem(k)
+    }
+    var pool = Seq.empty[Long]
+    val jobs = jobsDuring { pool = meets(g.csr, tasks, seed) }
     assert(pool == serial, "pool pass")
     assert(jobs == 0, s"the pool pass launched $jobs Spark jobs")
   }
 
   test("a task of more than Int.MaxValue chunks fails before any walk is drawn") {
     val hub = (0 until rnd40.n).maxBy(rnd40.csr.inDeg)
-    val tasks = Seq((0, 1000L, 0), (hub, 1L << 45, 2))
+    val tasks = Seq(0 -> 1000L, hub -> (1L << 45))
     val before = DriverPool.passes
     var e: IllegalArgumentException = null
     val jobs = jobsDuring {
-      e = intercept[IllegalArgumentException](Walks.pairMeetCounts(spark, rnd40.csrBroadcast, tasks, C, seed = 1))
+      e = intercept[IllegalArgumentException](
+        DiagEstimator.localExploit(rnd40.csr, tasks, C, 1, 0, spark.sparkContext.defaultParallelism))
     }
     assert(e.getMessage.contains(s"node $hub") && e.getMessage.contains((1L << 45).toString), e.getMessage)
     assert(DriverPool.passes == before && jobs == 0, "work started")
@@ -188,10 +196,10 @@ class WalksSpec extends SimTestKit {
     }
   }
 
-  test("pairMeetCounts is deterministic in the seed") {
-    val a = Walks.pairMeetCounts(spark, rnd40.csrBroadcast, Seq((5, 5000L, 0)), C, seed = 99)(5).meets
-    val b = Walks.pairMeetCounts(spark, rnd40.csrBroadcast, Seq((5, 5000L, 0)), C, seed = 99)(5).meets
-    val c2 = Walks.pairMeetCounts(spark, rnd40.csrBroadcast, Seq((5, 5000L, 0)), C, seed = 100)(5).meets
+  test("poolPass is deterministic in the seed") {
+    val a = meets(rnd40.csr, Seq((5, 5000L, 0)), seed = 99)
+    val b = meets(rnd40.csr, Seq((5, 5000L, 0)), seed = 99)
+    val c2 = meets(rnd40.csr, Seq((5, 5000L, 0)), seed = 100)
     assert(a == b)
     assert(a != c2, "different seeds should (overwhelmingly) differ")
   }
@@ -217,7 +225,7 @@ class WalksSpec extends SimTestKit {
 
   test("walkIndex: every node has r step-0 rows at its own position") {
     val g = rnd40
-    val idx = Walks.walkIndex(spark, g.csrBroadcast, g.n, 7, C, seed = 6).cache()
+    val idx = McSim.walkIndex(g, 7, C, seed = 6).cache()
     val step0 = idx.where(col("step") === 0)
     assert(step0.count() == g.n * 7L)
     assert(step0.where(col("node") =!= col("pos")).count() == 0)
@@ -229,7 +237,7 @@ class WalksSpec extends SimTestKit {
 
   test("walkIndex: steps are contiguous and follow in-edges") {
     val g = rnd40
-    val idx = Walks.walkIndex(spark, g.csrBroadcast, g.n, 3, C, seed = 8).cache()
+    val idx = McSim.walkIndex(g, 3, C, seed = 8).cache()
     val traces = idx.collect().groupBy(r => (r.getLong(0), r.getInt(1)))
     traces.values.foreach { rows =>
       val byStep = rows.sortBy(_.getInt(2))
@@ -246,7 +254,7 @@ class WalksSpec extends SimTestKit {
 
   test("walkIndex mean trace length matches √c geometric stopping") {
     val g = cycle7 // no dead ends: length is purely geometric
-    val idx = Walks.walkIndex(spark, g.csrBroadcast, g.n, 4000, C, seed = 9)
+    val idx = McSim.walkIndex(g, 4000, C, seed = 9)
     val rows = idx.count().toDouble
     val walks = g.n * 4000.0
     val expected = 1.0 / (1.0 - sqrtC) // E[rows per walk] = Σ (√c)^t
@@ -255,7 +263,7 @@ class WalksSpec extends SimTestKit {
 
   test("MC meeting-count dataflow matches DuckDB") {
     val g = rnd40
-    val idx = Walks.walkIndex(spark, g.csrBroadcast, g.n, 20, C, seed = 10).cache()
+    val idx = McSim.walkIndex(g, 20, C, seed = 10).cache()
     val src = idx.where(col("node") === 1L).select("walk", "step", "pos")
     val sparkMeets = idx.join(src, Seq("walk", "step", "pos"))
       .select(col("node"), col("walk")).distinct()

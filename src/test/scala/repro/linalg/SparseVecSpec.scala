@@ -1,6 +1,5 @@
 package repro.linalg
 
-import org.scalacheck.{Gen, Prop}
 import repro.SimTestKit
 
 class SparseVecSpec extends SimTestKit {
@@ -22,42 +21,8 @@ class SparseVecSpec extends SimTestKit {
     assert(sv(2) == 1.0 && sv(7) == 2.0 && sv(0) == 0.0 && sv(9) == 0.0)
   }
 
-  test("unit vector") {
-    val u = SparseVec.unit(5, 3, 0.25)
-    assert(u.nnz == 1 && u(3) == 0.25 && u.l1 == 0.25)
-  }
-
-  test("zeros") {
-    val z = SparseVec.zeros(4)
-    assert(z.nnz == 0 && z.bytes == 0 && z.toDense.forall(_ == 0.0))
-  }
-
-  test("truncate drops entries at or below the threshold") {
-    val sv = SparseVec(6, Array(0, 1, 2), Array(0.1, 0.01, 0.5))
-    val t = sv.truncate(0.01)
-    assert(t.nnz == 2 && t(1) == 0.0 && t(0) == 0.1 && t(2) == 0.5)
-  }
-
-  test("truncation error per entry is bounded by the threshold") {
-    checkProp(Prop.forAll(Gen.listOfN(30, Gen.choose(0.0, 1.0)), Gen.choose(0.0, 0.5)) {
-      (vals: List[Double], thr: Double) =>
-        val dense = vals.toArray
-        val t = SparseVec.fromDense(dense).truncate(thr).toDense
-        dense.indices.forall(i => math.abs(dense(i) - t(i)) <= thr)
-    })
-  }
-
-  test("scale multiplies values") {
-    val sv = SparseVec(3, Array(0, 2), Array(1.0, 2.0)).scale(0.5)
-    assert(sv(0) == 0.5 && sv(2) == 1.0)
-  }
-
   test("bytes = 12 per entry") {
     assert(SparseVec(100, Array(1, 2, 3), Array(1.0, 1.0, 1.0)).bytes == 36)
-  }
-
-  test("l1 sums absolute values") {
-    assert(SparseVec(4, Array(0, 1), Array(-1.5, 2.0)).l1 == 3.5)
   }
 
   test("mismatched arrays rejected") {
