@@ -19,8 +19,10 @@ object SingleSourceJob {
     val spark = JobSession.get(s"exactsim-$key")
     val graph = Datasets.byKey(key).generate(spark)
     println(s"graph: $graph, source=$source, eps=$eps")
+    val t0 = System.nanoTime()
     val res = ExactSim.singleSource(graph, source, ExactSimConf.optimized(eps, alpha))
-    println(f"query time ${res.millis} ms, walk pairs ${res.walkPairs}, ‖π‖²=${res.piNormSq}%.3e")
+    val millis = (System.nanoTime() - t0) / 1000000
+    println(f"query time $millis ms, walk pairs ${res.walkPairs}, ‖π‖²=${res.piNormSq}%.3e")
     println(s"top-$k nodes by SimRank:")
     Metrics.topK(res.scores, k, source).foreach(j => println(f"  v$j%-8d ${res.scores(j)}%.7f"))
     spark.stop()

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{DiagEstimator, DriverPool, Linearized}
+import repro.core.{DiagEstimator, DriverPool, ExactSimConf, Linearized}
 import repro.graph.GraphData
 import repro.linalg.LocalEngine
 
@@ -16,34 +16,32 @@ import repro.linalg.LocalEngine
   */
 object Linearization {
 
-  /** The index: estimated diagonal plus preprocessing accounting. */
-  final case class Index(dhat: Array[Double], walkPairs: Long, prepMillis: Long) {
+  /** The index: the estimated diagonal and the pair-walks it drew. */
+  final case class Index(dhat: Array[Double], walkPairs: Long) {
     /** Index = one double per node (the paper's vertical line in Figure 4). */
     def bytes: Long = dhat.length.toLong * 8
   }
 
   /** Pair-walks per node, `R_node = ⌈α·ln n/ε²⌉`; the index costs `n·R_node`. */
   def nodePairs(n: Int, eps: Double, alpha: Double): Long =
-    math.ceil(alpha * math.log(n.max(2)) / (eps * eps)).toLong.max(1L)
+    math.ceil(ExactSimConf.sampleBudget(n, eps, alpha)).toLong.max(1L)
 
   /** Build the diagonal index: Algorithm-2 sampling (zero-level Algorithm 3)
     * at every node.
     */
   def buildIndex(graph: GraphData, c: Double, eps: Double, alpha: Double,
                  seed: Long = 42): Index = {
-    val t0 = System.nanoTime()
     val rNode = nodePairs(graph.n, eps, alpha)
     val tasks = (0 until graph.n).map(k => k -> rNode)
     val res = DiagEstimator.localExploit(graph.csr, tasks, c, seed, 0, DriverPool.size(graph.spark.sparkContext))
-    Index(res.dense(graph.csr, c), res.walkPairs, (System.nanoTime() - t0) / 1000000)
+    Index(res.dense(graph.csr, c), res.walkPairs)
   }
 
   /** Query via eq. (5): for each level ℓ recompute `u_ℓ = P^ℓ e_i` from
     * scratch and accumulate `c^ℓ (Pᵀ)^ℓ D u_ℓ` — O(m·L²) work, O(n) space.
     */
-  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double): Result = {
+  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double): Array[Double] = {
     Linearized.requireSource(source, graph.n)
-    val t0 = System.nanoTime()
     val eng = new LocalEngine(graph.csr)
     val n = graph.n
     val iters = Linearized.iterationsFor(c, eps)
@@ -64,6 +62,6 @@ object Linearization {
       ell += 1
     }
     acc(source) = 1.0
-    Result(acc, (System.nanoTime() - t0) / 1000000)
+    acc
   }
 }

@@ -18,7 +18,7 @@ import repro.graph.GraphData
   */
 object McSim {
 
-  final case class Index(walks: DataFrame, n: Int, r: Int, rows: Long, prepMillis: Long) {
+  final case class Index(walks: DataFrame, r: Int, rows: Long) {
     /** 28 bytes per trace row: node 8, walk 4, step 4, pos 8 (+ slack). */
     def bytes: Long = rows * 28L
     def unpersist(): Unit = walks.unpersist()
@@ -61,15 +61,12 @@ object McSim {
 
   def buildIndex(graph: GraphData, c: Double, r: Int, seed: Long = 42): Index = {
     require(r > 0, s"walks per node must be positive, got $r")
-    val t0 = System.nanoTime()
     val walks = walkIndex(graph, r, c, seed).cache()
-    val rows = walks.count()
-    Index(walks, graph.n, r, rows, (System.nanoTime() - t0) / 1000000)
+    Index(walks, r, walks.count())
   }
 
-  def singleSource(graph: GraphData, source: Int, index: Index): Result = {
+  def singleSource(graph: GraphData, source: Int, index: Index): Array[Double] = {
     Linearized.requireSource(source, graph.n)
-    val t0 = System.nanoTime()
     val src = index.walks.where(col("node") === source.toLong)
       .select(col("walk"), col("step"), col("pos"))
     val met = index.walks
@@ -79,6 +76,6 @@ object McSim {
     val scores = new Array[Double](graph.n)
     met.collect().foreach(row => scores(row.getLong(0).toInt) = row.getLong(1).toDouble / index.r)
     scores(source) = 1.0
-    Result(scores, (System.nanoTime() - t0) / 1000000)
+    scores
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{DiagEstimator, DriverPool, Linearized}
+import repro.core.{DiagEstimator, DriverPool, ExactSimConf, Linearized}
 import repro.graph.GraphData
 import repro.linalg.LocalEngine
 
@@ -20,8 +20,7 @@ import repro.linalg.LocalEngine
   */
 object PrSim {
 
-  final case class Index(dhat: Array[Double], walkPairs: Long, pageRankNormSq: Double,
-                         prepMillis: Long) {
+  final case class Index(dhat: Array[Double], walkPairs: Long) {
     def bytes: Long = dhat.length.toLong * 8
   }
 
@@ -47,7 +46,7 @@ object PrSim {
   /** The index's D̂ tasks for PageRank `pr`: `R(k) = ⌈n·R_base·π̄(k)²⌉`. */
   def indexTasks(pr: Array[Double], eps: Double, alpha: Double): IndexedSeq[(Int, Long)] = {
     val n = pr.length
-    val rBase = alpha * math.log(n.max(2)) / (eps * eps)
+    val rBase = ExactSimConf.sampleBudget(n, eps, alpha)
     pr.indices.collect {
       case k if pr(k) > 0.0 => k -> math.ceil(n * rBase * pr(k) * pr(k)).toLong.max(1L)
     }
@@ -58,21 +57,17 @@ object PrSim {
     */
   def buildIndex(graph: GraphData, pr: Array[Double], c: Double, eps: Double, alpha: Double,
                  seed: Long = 42): Index = {
-    val t0 = System.nanoTime()
-    var normSq = 0.0
-    pr.foreach(p => normSq += p * p)
     val res = DiagEstimator.localExploit(graph.csr, indexTasks(pr, eps, alpha), c, seed, 0,
       DriverPool.size(graph.spark.sparkContext))
-    Index(res.dense(graph.csr, c), res.walkPairs, normSq, (System.nanoTime() - t0) / 1000000)
+    Index(res.dense(graph.csr, c), res.walkPairs)
   }
 
-  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double): Result = {
+  def singleSource(graph: GraphData, source: Int, index: Index, c: Double, eps: Double): Array[Double] = {
     Linearized.requireSource(source, graph.n)
-    val t0 = System.nanoTime()
     val eng = new LocalEngine(graph.csr)
     val fwd = Linearized.forward(eng, source, c, Linearized.iterationsFor(c, eps))
     val scores = Linearized.backward(eng, fwd, index.dhat, c)
     scores(source) = 1.0
-    Result(scores, (System.nanoTime() - t0) / 1000000)
+    scores
   }
 }

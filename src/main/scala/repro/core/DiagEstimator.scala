@@ -93,7 +93,6 @@ object DiagEstimator {
 
     // One pool pass: a worker runs a node's phase A (deterministic
     // exploitation, budget-capped), then plans and queues its tail items.
-    // meets(i) is task i's tail meets, or −1 if it planned no item.
     val phaseA = new Array[Deterministic](work.size)
     val meets = Walks.poolPass(g, work, c, seed, threads) { i =>
       val (k, rk) = work(i)

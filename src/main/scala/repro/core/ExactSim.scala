@@ -47,10 +47,16 @@ final case class ExactSimConf(
 
   /** Total pair-walk budget before the ‖π_i‖² reduction. */
   def totalSamples(n: Int): Long =
-    math.ceil(alpha * math.log(n.max(2)) / (epsEff * epsEff)).toLong.max(1L)
+    math.ceil(ExactSimConf.sampleBudget(n, epsEff, alpha)).toLong.max(1L)
 }
 
 object ExactSimConf {
+  /** The sample budget `α·ln n/ε²` before rounding: ExactSim's `R`, and the
+    * per-node pairs of the Linearization and PRSim indexes.
+    */
+  def sampleBudget(n: Int, eps: Double, alpha: Double): Double =
+    alpha * math.log(n.max(2)) / (eps * eps)
+
   /** Theorem 1's Bernstein constant `6/(1−√c)⁴`. */
   def paperAlpha(c: Double): Double = { val t = 1 - math.sqrt(c); 6.0 / (t * t * t * t) }
 
@@ -75,7 +81,6 @@ final case class ExactSimResult(
     edgesExplored: Long,
     hopVectorBytes: Long,
     piNormSq: Double,
-    millis: Long,
 )
 
 /** ExactSim (Algorithm 1 + §3.2 optimizations): probabilistic exact
@@ -100,7 +105,6 @@ object ExactSim {
     */
   def singleSource(csr: Csr, source: Int, conf: ExactSimConf, threads: Int): ExactSimResult = {
     Linearized.requireSource(source, csr.n)
-    val t0 = System.nanoTime()
     val eng = new LocalEngine(csr)
     val fwd = Linearized.forward(eng, source, conf.c, conf.iterations, conf.truncationThreshold)
 
@@ -110,8 +114,7 @@ object ExactSim {
 
     val scores = Linearized.backward(eng, fwd, diag.dense(csr, conf.c), conf.c)
     scores(source) = 1.0 // S(i,i) = 1 by definition
-    ExactSimResult(scores, conf, diag.walkPairs, diag.edgesExplored, fwd.hopBytes, fwd.piNormSq,
-      (System.nanoTime() - t0) / 1000000)
+    ExactSimResult(scores, conf, diag.walkPairs, diag.edgesExplored, fwd.hopBytes, fwd.piNormSq)
   }
 
   /** Sample allocation over the support of π_i (Algorithm 1 line 8 / Lemma 3).

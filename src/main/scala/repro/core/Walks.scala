@@ -52,14 +52,12 @@ object Walks {
     * `prefixOf(i)` (phase A, in [[DiagEstimator.localExploit]]), plans the
     * task's [[items]] and queues them, so a node's walks start as soon as
     * its own prefix is known; idle workers run the queued items. Returns the
-    * meets of task i at i, or −1 if it planned no item. The caller checks
-    * [[requirePlannable]] first.
+    * meets of task i at i. The caller checks [[requirePlannable]] first.
     */
   private[core] def poolPass(g: Csr, tasks: IndexedSeq[(Int, Long)], c: Double, seed: Long, threads: Int)
                             (prefixOf: Int => Int): Array[Long] = {
     val n = tasks.size
     val meets = new AtomicLongArray(n)
-    val planned = new Array[Boolean](n)
     // Sort keys: pairs (capped at 2³² − 1) above the complemented index, so
     // the last key is the largest task, the first in task order on ties.
     val keys = Array.tabulate(n)(i => (math.min(tasks(i)._2, 0xffffffffL) << 31) | (Int.MaxValue - i))
@@ -68,13 +66,12 @@ object Walks {
       val i = Int.MaxValue - (keys(n - 1 - j) & Int.MaxValue).toInt
       () => {
         val (node, pairs) = tasks(i)
-        val todo = items(g, node, pairs, prefixOf(i), seed)
-        planned(i) = todo.nonEmpty
-        todo.map(item => () => { meets.addAndGet(i, itemMeets(g, item, c, seed)); () })
+        items(g, node, pairs, prefixOf(i), seed)
+          .map(item => () => { meets.addAndGet(i, itemMeets(g, item, c, seed)); () })
       }
     }
     DriverPool.run(ArraySeq.unsafeWrapArray(roots), threads)
-    Array.tabulate(n)(i => if (planned(i)) meets.get(i) else -1L)
+    Array.tabulate(n)(meets.get)
   }
 
   /** Rejects a task that would need more than `Int.MaxValue` chunks, before

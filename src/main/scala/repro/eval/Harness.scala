@@ -1,6 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.SparkSession
 import repro.baselines.{Linearization, McSim, ParSim, PrSim}
 import repro.core.{ExactSim, ExactSimConf, Linearized, PowerMethod}
 import repro.graph.GraphData
@@ -12,7 +11,9 @@ import repro.graph.GraphData
   * ExactSim at ε_min on large graphs — §4.1/§4.2), sweep each algorithm's
   * parameter, and report MaxError / Precision@k vs query time plus index
   * time/size for the index-based methods (the content of Figures 1–8 in
-  * table form) — each config a [[SweepRow]].
+  * table form) — each config a [[SweepRow]]. One sweep loop ([[sweep]])
+  * runs every method's ladder step and does all the timing; the methods
+  * only compute.
   */
 object Harness {
 
@@ -61,45 +62,72 @@ object Harness {
       i -> ExactSim.singleSource(graph, i, ExactSimConf.optimized(epsMin, alpha, seed = 7700 + i)).scores
     }.toMap
 
-  private def evalScores(scoresBySource: Seq[(Int, Array[Double], Double)],
-                         truth: Map[Int, Array[Double]], k: Int,
-                         dataset: String, algo: String, param: String,
-                         indexMillis: Long = 0, indexBytes: Long = 0,
-                         walkPairs: Long = 0, note: String = ""): SweepRow = {
-    val errs = scoresBySource.map { case (src, sc, _) => Metrics.maxError(sc, truth(src)) }
-    val precs = scoresBySource.map { case (src, sc, _) => Metrics.precisionAtK(sc, truth(src), k, src) }
-    val ms = scoresBySource.map(_._3)
-    val row = SweepRow(dataset, algo, param, ms.sum / ms.size, errs.sum / errs.size,
-      precs.sum / precs.size, indexMillis, indexBytes, walkPairs, note)
-    println(s"[row] ${row.tsv}") // incremental progress for long sweeps
-    row
+  /** A ladder step's built index, as [[sweep]] reports it: the step's query
+    * over it, its size and walk pairs, and how to release it.
+    */
+  private final case class Built(query: Int => Answer, bytes: Long = 0, walkPairs: Long = 0,
+                                 release: () => Unit = () => ())
+
+  /** One query's scores and the walk pairs it drew itself. */
+  private final case class Answer(scores: Array[Double], walkPairs: Long = 0)
+
+  private def requireSources(algo: String, graph: GraphData, sources: Seq[Int]): Unit =
+    require(sources.nonEmpty, s"$algo sweep on ${graph.name}: no query sources")
+
+  /** Runs one ladder step of one method and returns its row. A step whose
+    * planned walk pairs exceed `maxWalkPairs` is skipped before anything
+    * runs. Otherwise `build` makes the step's index under the index timer,
+    * every source is queried under its own timer (whole milliseconds, as
+    * the row reports them), the answers are scored against `truth`, the row
+    * is printed, and the index is released. The row's walk pairs are the
+    * index's plus the per-query mean of the queries' own.
+    */
+  private def sweep(graph: GraphData, sources: Seq[Int], truth: Map[Int, Array[Double]], k: Int,
+                    algo: String, param: String, plannedPairs: Long, maxWalkPairs: Long)
+                   (build: => Built): SweepRow = {
+    requireSources(algo, graph, sources)
+    def emit(row: SweepRow): SweepRow = {
+      println(s"[row] ${row.tsv}") // incremental progress for long sweeps
+      row
+    }
+    if (plannedPairs > maxWalkPairs)
+      emit(SweepRow(graph.name, algo, param, Double.NaN, Double.NaN, Double.NaN, 0, 0, 0, "SKIPPED (walk budget)"))
+    else {
+      val t0 = System.nanoTime()
+      val built = build
+      val indexMillis = (System.nanoTime() - t0) / 1000000
+      try {
+        val runs = sources.map { src =>
+          val t = System.nanoTime()
+          val answer = built.query(src)
+          (src, answer, ((System.nanoTime() - t) / 1000000).toDouble)
+        }
+        val errs = runs.map { case (src, a, _) => Metrics.maxError(a.scores, truth(src)) }
+        val precs = runs.map { case (src, a, _) => Metrics.precisionAtK(a.scores, truth(src), k, src) }
+        val ms = runs.map(_._3)
+        emit(SweepRow(graph.name, algo, param, ms.sum / ms.size, errs.sum / errs.size, precs.sum / precs.size,
+          indexMillis, built.bytes, built.walkPairs + runs.map(_._2.walkPairs).sum / runs.size))
+      } finally built.release()
+    }
   }
 
-  private def skipped(dataset: String, algo: String, param: String, why: String): SweepRow = {
-    val row = SweepRow(dataset, algo, param, Double.NaN, Double.NaN, Double.NaN, 0, 0, 0, s"SKIPPED ($why)")
-    println(s"[row] ${row.tsv}")
-    row
-  }
-
-  /** ExactSim sweep over an ε ladder. */
+  /** ExactSim sweep over an ε ladder. Only basic ExactSim, whose allocation
+    * draws about `totalSamples` pairs, is checked against the walk budget.
+    */
   def sweepExactSim(graph: GraphData, sources: Seq[Int], truth: Map[Int, Array[Double]],
                     k: Int, epsLadder: Seq[Double], alpha: Double,
                     basic: Boolean = false, maxWalkPairs: Long = Long.MaxValue): Seq[SweepRow] =
     epsLadder.map { eps =>
-      val name = if (basic) "ExactSim-basic" else "ExactSim"
       val mk = (src: Int) =>
         if (basic) ExactSimConf.basic(eps, alpha, seed = 100 + src)
         else ExactSimConf.optimized(eps, alpha, seed = 100 + src)
-      // Basic allocation uses ~R pairs in total; refuse configs over budget.
-      val estPairs = mk(0).totalSamples(graph.n)
-      if (basic && estPairs > maxWalkPairs) skipped(graph.name, name, f"eps=$eps%.0e", "walk budget")
-      else {
-        val runs = sources.map { src =>
+      val planned = if (basic) mk(0).totalSamples(graph.n) else 0L
+      sweep(graph, sources, truth, k, if (basic) "ExactSim-basic" else "ExactSim", f"eps=$eps%.0e",
+        planned, maxWalkPairs) {
+        Built { src =>
           val r = ExactSim.singleSource(graph, src, mk(src))
-          (src, r.scores, r.millis.toDouble, r.walkPairs)
+          Answer(r.scores, r.walkPairs)
         }
-        evalScores(runs.map(t => (t._1, t._2, t._3)), truth, k, graph.name, name,
-          f"eps=$eps%.0e", walkPairs = runs.map(_._4).sum / runs.size)
       }
     }
 
@@ -107,29 +135,19 @@ object Harness {
   def sweepParSim(graph: GraphData, sources: Seq[Int], truth: Map[Int, Array[Double]],
                   k: Int, ladder: Seq[Int]): Seq[SweepRow] =
     ladder.map { l =>
-      val runs = sources.map { src =>
-        val r = ParSim.singleSource(graph, src, C, l)
-        (src, r.scores, r.millis.toDouble)
+      sweep(graph, sources, truth, k, "ParSim", s"L=$l", 0L, Long.MaxValue) {
+        Built(src => Answer(ParSim.singleSource(graph, src, C, l)))
       }
-      evalScores(runs, truth, k, graph.name, "ParSim", s"L=$l")
     }
 
   /** MC sweep over walks-per-node. */
   def sweepMc(graph: GraphData, sources: Seq[Int], truth: Map[Int, Array[Double]],
               k: Int, ladder: Seq[Int], maxWalkPairs: Long = Long.MaxValue): Seq[SweepRow] =
     ladder.map { r =>
-      if (graph.n.toLong * r > maxWalkPairs) skipped(graph.name, "MC", s"r=$r", "walk budget")
-      else {
+      sweep(graph, sources, truth, k, "MC", s"r=$r", graph.n.toLong * r, maxWalkPairs) {
         val idx = McSim.buildIndex(graph, C, r, seed = 31)
-        val runs = sources.map { src =>
-          val res = McSim.singleSource(graph, src, idx)
-          (src, res.scores, res.millis.toDouble)
-        }
-        val row = evalScores(runs, truth, k, graph.name, "MC", s"r=$r",
-          indexMillis = idx.prepMillis, indexBytes = idx.bytes,
-          walkPairs = graph.n.toLong * r)
-        idx.unpersist()
-        row
+        Built(src => Answer(McSim.singleSource(graph, src, idx)), idx.bytes, graph.n.toLong * r,
+          () => idx.unpersist())
       }
     }
 
@@ -138,16 +156,10 @@ object Harness {
                          k: Int, epsLadder: Seq[Double], alpha: Double,
                          maxWalkPairs: Long): Seq[SweepRow] =
     epsLadder.map { eps =>
-      val estPairs = Linearization.nodePairs(graph.n, eps, alpha) * graph.n
-      if (estPairs > maxWalkPairs) skipped(graph.name, "Linearization", f"eps=$eps%.0e", "walk budget")
-      else {
+      sweep(graph, sources, truth, k, "Linearization", f"eps=$eps%.0e",
+        Linearization.nodePairs(graph.n, eps, alpha) * graph.n, maxWalkPairs) {
         val idx = Linearization.buildIndex(graph, C, eps, alpha, seed = 57)
-        val runs = sources.map { src =>
-          val res = Linearization.singleSource(graph, src, idx, C, eps)
-          (src, res.scores, res.millis.toDouble)
-        }
-        evalScores(runs, truth, k, graph.name, "Linearization", f"eps=$eps%.0e",
-          indexMillis = idx.prepMillis, indexBytes = idx.bytes, walkPairs = idx.walkPairs)
+        Built(src => Answer(Linearization.singleSource(graph, src, idx, C, eps)), idx.bytes, idx.walkPairs)
       }
     }
 
@@ -158,18 +170,13 @@ object Harness {
   def sweepPrSim(graph: GraphData, sources: Seq[Int], truth: Map[Int, Array[Double]],
                  k: Int, epsLadder: Seq[Double], alpha: Double,
                  maxWalkPairs: Long): Seq[SweepRow] = {
+    requireSources("PRSim", graph, sources) // before the PageRank pass
     val pr = PrSim.globalPageRank(graph, C, Linearized.iterationsFor(C, epsLadder.min))
     epsLadder.map { eps =>
-      val planned = PrSim.indexTasks(pr, eps, alpha).map(_._2).sum
-      if (planned > maxWalkPairs) skipped(graph.name, "PRSim", f"eps=$eps%.0e", "walk budget")
-      else {
+      sweep(graph, sources, truth, k, "PRSim", f"eps=$eps%.0e",
+        PrSim.indexTasks(pr, eps, alpha).map(_._2).sum, maxWalkPairs) {
         val idx = PrSim.buildIndex(graph, pr, C, eps, alpha, seed = 83)
-        val runs = sources.map { src =>
-          val res = PrSim.singleSource(graph, src, idx, C, eps)
-          (src, res.scores, res.millis.toDouble)
-        }
-        evalScores(runs, truth, k, graph.name, "PRSim", f"eps=$eps%.0e",
-          indexMillis = idx.prepMillis, indexBytes = idx.bytes, walkPairs = idx.walkPairs)
+        Built(src => Answer(PrSim.singleSource(graph, src, idx, C, eps)), idx.bytes, idx.walkPairs)
       }
     }
   }

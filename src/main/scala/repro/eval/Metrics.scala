@@ -14,14 +14,6 @@ object Metrics {
     m
   }
 
-  /** Average absolute error (extra diagnostic, not in the paper's tables). */
-  def avgError(est: Array[Double], truth: Array[Double]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < est.length) { s += math.abs(est(i) - truth(i)); i += 1 }
-    s / est.length
-  }
-
   /** Top-k node ids by score, source excluded, ties broken by ascending id
     * (deterministic on both the estimate and the truth side).
     */

@@ -8,8 +8,8 @@ import org.apache.spark.sql.types.LongType
   *
   * The paper evaluates on scale-free real-world graphs; `chungLu` reproduces
   * their power-law degree structure (which drives the ‖π‖² term of Lemma 3),
-  * `erdosRenyi` gives a flat-degree contrast, and the tiny fixed topologies
-  * (cycle, star, …) have closed-form SimRank used by the unit tests.
+  * and the tiny fixed topologies (cycle, star, …) have closed-form SimRank
+  * used by the unit tests.
   *
   * All heavy generators are Spark dataflows over `spark.range` with a fixed
   * partition count so `rand(seed)` draws are reproducible across runs.
@@ -43,21 +43,6 @@ object GraphGen {
       // pure hub clique: 70% zipf, 30% uniform.
       when(rand(seed + 2) < 0.7, zipfNode(rand(seed + 1), n, alpha))
         .otherwise((rand(seed + 3) * n).cast(LongType)).as("dst"),
-    )
-    val dir = if (undirected)
-      raw.union(raw.select(col("dst").as("src"), col("src").as("dst")))
-    else raw
-    new GraphData(spark, name, n, dir)
-  }
-
-  /** Erdős–Rényi G(n, m): m uniform random directed edges (deduped). */
-  def erdosRenyi(spark: SparkSession, name: String, n: Int, mTarget: Long,
-                 undirected: Boolean = false, seed: Long = 11): GraphData = {
-    val base = if (undirected) mTarget / 2 else mTarget
-    val cand = (base * 1.03).toLong + 8
-    val raw = spark.range(0, cand, 1, Parts).select(
-      (rand(seed) * n).cast(LongType).as("src"),
-      (rand(seed + 1) * n).cast(LongType).as("dst"),
     )
     val dir = if (undirected)
       raw.union(raw.select(col("dst").as("src"), col("src").as("dst")))

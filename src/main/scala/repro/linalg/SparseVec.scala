@@ -28,8 +28,9 @@ final case class SparseVec(n: Int, ids: Array[Int], vals: Array[Double]) {
 
 object SparseVec {
 
-  def fromDense(x: Array[Double], zeroTol: Double = 0.0): SparseVec = {
-    val keep = x.indices.filter(i => math.abs(x(i)) > zeroTol)
+  /** The nonzero entries of `x`. */
+  def fromDense(x: Array[Double]): SparseVec = {
+    val keep = x.indices.filter(i => math.abs(x(i)) > 0.0)
     SparseVec(x.length, keep.toArray, keep.map(x).toArray)
   }
 }

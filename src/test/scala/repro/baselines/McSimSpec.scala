@@ -9,24 +9,24 @@ class McSimSpec extends SimTestKit {
     val g = rnd60u
     val truth = groundTruth(g)
     val idx = McSim.buildIndex(g, C, r = 4000, seed = 1)
-    val res = McSim.singleSource(g, 2, idx)
-    val err = Metrics.maxError(res.scores, truth(2))
+    val scores = McSim.singleSource(g, 2, idx)
+    val err = Metrics.maxError(scores, truth(2))
     assert(err < 0.05, s"maxErr $err") // std ≈ sqrt(S(1-S)/4000) ≤ 0.008
     idx.unpersist()
   }
 
   test("pair graph: estimate of S(0,1) concentrates at c") {
     val idx = McSim.buildIndex(pair, C, r = 8000, seed = 2)
-    val res = McSim.singleSource(pair, 0, idx)
-    assert(math.abs(res.scores(1) - C) < 0.03, s"${res.scores(1)}")
-    assert(res.scores(2) == 0.0, "sink and parent never meet")
+    val scores = McSim.singleSource(pair, 0, idx)
+    assert(math.abs(scores(1) - C) < 0.03, s"${scores(1)}")
+    assert(scores(2) == 0.0, "sink and parent never meet")
     idx.unpersist()
   }
 
   test("cycle: off-diagonal estimates are exactly 0 (walks never coincide)") {
     val idx = McSim.buildIndex(cycle7, C, r = 500, seed = 3)
-    val res = McSim.singleSource(cycle7, 0, idx)
-    (1 until 7).foreach(j => assert(res.scores(j) == 0.0))
+    val scores = McSim.singleSource(cycle7, 0, idx)
+    (1 until 7).foreach(j => assert(scores(j) == 0.0))
     idx.unpersist()
   }
 
@@ -43,7 +43,7 @@ class McSimSpec extends SimTestKit {
     val truth = groundTruth(g)
     val errs = Seq(30, 3000).map { r =>
       val idx = McSim.buildIndex(g, C, r, seed = 5)
-      val e = Metrics.maxError(McSim.singleSource(g, 6, idx).scores, truth(6))
+      val e = Metrics.maxError(McSim.singleSource(g, 6, idx), truth(6))
       idx.unpersist(); e
     }
     assert(errs(1) < errs(0), s"errors $errs")
@@ -67,7 +67,7 @@ class McSimSpec extends SimTestKit {
 
   test("source similarity is pinned to 1") {
     val idx = McSim.buildIndex(rnd40, C, r = 50, seed = 6)
-    assert(McSim.singleSource(rnd40, 3, idx).scores(3) == 1.0)
+    assert(McSim.singleSource(rnd40, 3, idx)(3) == 1.0)
     idx.unpersist()
   }
 }

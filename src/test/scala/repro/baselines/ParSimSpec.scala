@@ -8,15 +8,15 @@ class ParSimSpec extends SimTestKit {
   test("exact on graphs where D = (1−c)I is the true diagonal (cycle, path, pair off-diagonal)") {
     // On the cycle every node has in-degree 1, so D = (1−c)I exactly.
     val truth = groundTruth(cycle7)
-    val res = ParSim.singleSource(cycle7, 2, C, iters = 40)
-    assertVecNear(res.scores, truth(2), 1e-8, "ParSim on cycle7")
+    val scores = ParSim.singleSource(cycle7, 2, C, iters = 40)
+    assertVecNear(scores, truth(2), 1e-8, "ParSim on cycle7")
   }
 
   test("error decreases with L down to the D-approximation bias floor") {
     val g = rnd60u
     val truth = groundTruth(g)
     val errs = Seq(1, 3, 10, 40).map { l =>
-      Metrics.maxError(ParSim.singleSource(g, 4, C, l).scores, truth(4))
+      Metrics.maxError(ParSim.singleSource(g, 4, C, l), truth(4))
     }
     assert(errs(1) <= errs(0) + 1e-12 && errs(2) <= errs(1) + 1e-12)
     // The floor: more iterations stop helping once c^L ≪ bias.
@@ -28,7 +28,7 @@ class ParSimSpec extends SimTestKit {
     // star/complete graphs the bias is visible at any L.
     for (g <- Seq(star8, complete5)) {
       val truth = groundTruth(g)
-      val err = Metrics.maxError(ParSim.singleSource(g, 1, C, 50).scores, truth(1))
+      val err = Metrics.maxError(ParSim.singleSource(g, 1, C, 50), truth(1))
       assert(err > 0.01, s"${g.name}: expected visible bias, got $err")
     }
   }
@@ -36,15 +36,15 @@ class ParSimSpec extends SimTestKit {
   test("high precision@k despite MaxError bias (the paper's Figure 2 finding)") {
     val g = rnd80
     val truth = groundTruth(g)
-    val res = ParSim.singleSource(g, 5, C, 30)
-    val prec = Metrics.precisionAtK(res.scores, truth(5), k = 10, source = 5)
+    val scores = ParSim.singleSource(g, 5, C, 30)
+    val prec = Metrics.precisionAtK(scores, truth(5), k = 10, source = 5)
     assert(prec >= 0.8, s"precision@10 $prec")
   }
 
   test("deterministic") {
     val g = rnd40
-    val a = ParSim.singleSource(g, 3, C, 15).scores
-    assert(a.toSeq == ParSim.singleSource(g, 3, C, 15).scores.toSeq)
+    val a = ParSim.singleSource(g, 3, C, 15)
+    assert(a.toSeq == ParSim.singleSource(g, 3, C, 15).toSeq)
   }
 
   test("an out-of-range source fails fast with its id and n") {

@@ -37,17 +37,17 @@ class PrSimSpec extends SimTestKit {
     val g = rnd60u
     val truth = groundTruth(g)
     val idx = PrSim.buildIndex(g, pageRank(g, 0.05), C, eps = 0.05, alpha = 8.0, seed = 1)
-    val res = PrSim.singleSource(g, 3, idx, C, eps = 0.05)
-    val err = Metrics.maxError(res.scores, truth(3))
+    val scores = PrSim.singleSource(g, 3, idx, C, eps = 0.05)
+    val err = Metrics.maxError(scores, truth(3))
     assert(err < 0.08, s"maxErr $err")
   }
 
   test("with the exact diagonal the query is exact (shares the linearized path)") {
     val g = rnd40
     val truth = groundTruth(g)
-    val idx = PrSim.Index(exactD(g), 0L, 0.0, 0L)
-    val res = PrSim.singleSource(g, 8, idx, C, eps = 1e-8)
-    assertVecNear(res.scores, truth(8), 1e-7, "PRSim with exact D")
+    val idx = PrSim.Index(exactD(g), 0L)
+    val scores = PrSim.singleSource(g, 8, idx, C, eps = 1e-8)
+    assertVecNear(scores, truth(8), 1e-7, "PRSim with exact D")
   }
 
   test("the index tasks' pairs bound the built index's walk count") {
@@ -69,13 +69,13 @@ class PrSimSpec extends SimTestKit {
   test("deterministic") {
     val g = rnd40
     assert(PrSim.globalPageRank(g, C, 10).toSeq == PrSim.globalPageRank(g, C, 10).toSeq)
-    val idx = PrSim.Index(exactD(g), 0L, 0.0, 0L)
-    val a = PrSim.singleSource(g, 8, idx, C, eps = 0.05).scores
-    assert(a.toSeq == PrSim.singleSource(g, 8, idx, C, eps = 0.05).scores.toSeq)
+    val idx = PrSim.Index(exactD(g), 0L)
+    val a = PrSim.singleSource(g, 8, idx, C, eps = 0.05)
+    assert(a.toSeq == PrSim.singleSource(g, 8, idx, C, eps = 0.05).toSeq)
   }
 
   test("an out-of-range source fails fast with its id and n") {
-    val idx = PrSim.Index(exactD(rnd40), 0L, 0.0, 0L)
+    val idx = PrSim.Index(exactD(rnd40), 0L)
     for (src <- Seq(-1, rnd40.n)) {
       val e = intercept[IllegalArgumentException](PrSim.singleSource(rnd40, src, idx, C, eps = 0.1))
       assert(e.getMessage.contains(s"source $src") && e.getMessage.contains(s"${rnd40.n}"))

@@ -12,7 +12,7 @@ class WalksSpec extends SimTestKit {
   private val sqrtC = math.sqrt(C)
 
   /** Meets of each `(node, pairs, prefix)` task, from one pool pass with
-    * the prefixes given (−1 for a task that planned no item).
+    * the prefixes given.
     */
   private def meets(g: Csr, tasks: Seq[(Int, Long, Int)], seed: Long,
                     threads: Int = spark.sparkContext.defaultParallelism): Seq[Long] =

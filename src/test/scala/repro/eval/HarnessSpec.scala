@@ -52,6 +52,25 @@ class HarnessSpec extends SimTestKit {
     assert(mc.head.indexBytes > 0 && mc.head.walkPairs == g.n.toLong * 20)
   }
 
+  test("every sweep fails fast, naming the method, when given no query sources") {
+    val g = rnd40
+    g.csr // collected here, so any job counted below is the sweeps' own
+    val none = Seq.empty[Int]
+    val sweeps = Seq[(String, () => Seq[Harness.SweepRow])](
+      "ExactSim" -> (() => Harness.sweepExactSim(g, none, Map.empty, 5, Seq(0.1), alpha = 1.0)),
+      "ParSim" -> (() => Harness.sweepParSim(g, none, Map.empty, 5, Seq(3))),
+      "MC" -> (() => Harness.sweepMc(g, none, Map.empty, 5, Seq(10))),
+      "Linearization" -> (() => Harness.sweepLinearization(g, none, Map.empty, 5, Seq(0.1), 1.0, Long.MaxValue)),
+      "PRSim" -> (() => Harness.sweepPrSim(g, none, Map.empty, 5, Seq(0.1), 1.0, Long.MaxValue)))
+    for ((algo, run) <- sweeps) {
+      val jobs = jobsDuring {
+        val e = intercept[IllegalArgumentException](run())
+        assert(e.getMessage.contains(s"$algo sweep on rnd40: no query sources"), e.getMessage)
+      }
+      assert(jobs == 0, s"$algo: the sweep started work before failing")
+    }
+  }
+
   test("row formatting stays aligned and handles NaN") {
     val row = Harness.SweepRow("ds", "Algo", "p=1", Double.NaN, Double.NaN, Double.NaN, 1, 2, 3, "SKIPPED (x)")
     assert(row.tsv.contains("SKIPPED"))

@@ -13,10 +13,6 @@ class MetricsSpec extends SimTestKit {
     intercept[IllegalArgumentException](Metrics.maxError(Array(1.0), Array(1.0, 2.0)))
   }
 
-  test("avgError averages absolute deviations") {
-    assert(math.abs(Metrics.avgError(Array(0.0, 1.0), Array(0.5, 0.5)) - 0.5) < 1e-12)
-  }
-
   test("topK orders by score descending with id tiebreak") {
     val s = Array(0.5, 0.9, 0.5, 0.1)
     assert(Metrics.topK(s, 3) == Seq(1, 0, 2))

@@ -48,20 +48,6 @@ class GraphGenSpec extends SimTestKit {
     es.foreach { case (s, d) => assert(es.contains((d, s)), s"missing reverse of ($s,$d)") }
   }
 
-  test("erdosRenyi: m close to target, ids in range, no self-loops") {
-    val g = GraphGen.erdosRenyi(spark, "er", 500, 3000, seed = 21)
-    assert(g.m > 2800 && g.m <= 3120, s"m=${g.m}")
-    val stats = g.edges.agg(min("src"), max("src"), min("dst"), max("dst")).head()
-    assert(stats.getLong(0) >= 0 && stats.getLong(1) < 500 && stats.getLong(3) < 500)
-    assert(g.edges.where(col("src") === col("dst")).count() == 0)
-  }
-
-  test("erdosRenyi is deterministic in the seed") {
-    val a = GraphGen.erdosRenyi(spark, "er-a", 200, 800, seed = 5).m
-    val b = GraphGen.erdosRenyi(spark, "er-b", 200, 800, seed = 5).m
-    assert(a == b)
-  }
-
   test("chungLu: m close to target, no self-loops") {
     val g = GraphGen.chungLu(spark, "cl", 1000, 6000, alpha = 0.7, seed = 33)
     assert(g.m > 3600 && g.m <= 7800, s"m=${g.m}")
@@ -83,11 +69,6 @@ class GraphGenSpec extends SimTestKit {
     val top1pct = degs.take(math.max(1, degs.length / 100)).sum.toDouble
     // Hubs should carry far more than their uniform share of edges.
     assert(top1pct / total > 0.10, f"top-1%% nodes carry ${top1pct / total}%.3f of in-degree")
-    // ...while an Erdős–Rényi graph of the same size does not.
-    val er = GraphGen.erdosRenyi(spark, "ers", 2000, 12000, seed = 55)
-    val edegs = er.inDegrees.select("deg").collect().map(_.getLong(0)).sorted.reverse
-    val etop = edegs.take(math.max(1, edegs.length / 100)).sum.toDouble
-    assert(top1pct / total > 2 * etop / edegs.sum)
   }
 
   test("GraphData dedupes and drops self-loops from raw input") {

@@ -11,11 +11,6 @@ class SparseVecSpec extends SimTestKit {
     assert(sv.toDense.toSeq == d.toSeq)
   }
 
-  test("fromDense honors zero tolerance") {
-    val sv = SparseVec.fromDense(Array(1e-12, 0.5, -1e-12), zeroTol = 1e-9)
-    assert(sv.nnz == 1 && sv(1) == 0.5)
-  }
-
   test("apply returns 0 for absent ids") {
     val sv = SparseVec(10, Array(2, 7), Array(1.0, 2.0))
     assert(sv(2) == 1.0 && sv(7) == 2.0 && sv(0) == 0.0 && sv(9) == 0.0)
